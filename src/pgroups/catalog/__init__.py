@@ -233,6 +233,12 @@ def catalog_list() -> List[str]:
     return sorted(ENTRIES)
 
 
+def _param_int(name: str, key: str, val: object) -> int:
+    if isinstance(val, int) and not isinstance(val, bool):
+        return val
+    raise ParamOutOfRange(f"{name} parameter {key!r} must be an integer, got {val!r}")
+
+
 def resolve_params(name: str, params: Params) -> Params:
     entry = ENTRIES.get(name)
     if entry is None:
@@ -246,10 +252,11 @@ def resolve_params(name: str, params: Params) -> Params:
         else:
             raise ParamOutOfRange(f"{name} requires parameter {key!r}")
         if kind == "int":
-            val = int(val)  # type: ignore[arg-type]
+            out[key] = _param_int(name, key, val)
         else:
-            val = tuple(int(v) for v in val)  # type: ignore[union-attr]
-        out[key] = val
+            # a scalar is a one-element list: ``--param exps=3`` means C_{p^3}
+            vals = val if isinstance(val, (list, tuple)) else (val,)
+            out[key] = tuple(_param_int(name, key, v) for v in vals)
     extra = set(params) - set(entry.param_schema)
     if extra:
         raise ParamOutOfRange(f"{name} does not take parameters {sorted(extra)}")

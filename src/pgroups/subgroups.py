@@ -9,9 +9,10 @@ intermediates are memoized on the owning group's cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import BudgetExceeded, NotNormal
+from .errors import BudgetExceeded, InvariantViolation, NotNormal
 from .groups import FiniteGroup, GroupHom
 
 NORMAL_SUBGROUP_BUDGET = 1_000_000
@@ -263,7 +264,8 @@ def upper_central_series(G: FiniteGroup) -> "SubgroupSeries":
             for x in G.elements():
                 if all((prev >> comm(x, g)) & 1 for g in G.generators):
                     bits |= 1 << x
-            assert bits != prev, "upper central series stalled below G"
+            if bits == prev:
+                raise InvariantViolation("upper central series stalled below G")
             terms.append(Subgroup(G, bits, normal=True))
         hit = SubgroupSeries("upper-central", "ascending", terms)
         G.cache["ucs"] = hit
@@ -277,7 +279,8 @@ def lower_central_series(G: FiniteGroup) -> "SubgroupSeries":
         terms = [whole_subgroup(G)]
         while not terms[-1].is_trivial():
             nxt = commutator_subgroup(G, terms[-1], whole_subgroup(G))
-            assert nxt.bits != terms[-1].bits, "lower central series stalled above 1"
+            if nxt.bits == terms[-1].bits:
+                raise InvariantViolation("lower central series stalled above 1")
             terms.append(nxt)
         hit = SubgroupSeries("lower-central", "descending", terms)
         G.cache["lcs"] = hit
@@ -359,13 +362,15 @@ class SubgroupSeries:
     terms: List[Subgroup]
 
     def __post_init__(self) -> None:
-        assert self.direction in ("ascending", "descending")
+        if self.direction not in ("ascending", "descending"):
+            raise InvariantViolation(f"series direction {self.direction!r} is unknown")
         pairs = zip(self.terms, self.terms[1:])
         if self.direction == "ascending":
             ok = all(a <= b for a, b in pairs)
         else:
             ok = all(b <= a for a, b in pairs)
-        assert ok, f"{self.kind} series terms are not {self.direction}"
+        if not ok:
+            raise InvariantViolation(f"{self.kind} series terms are not {self.direction}")
 
     def orders(self) -> List[int]:
         return [t.order for t in self.terms]
@@ -498,19 +503,29 @@ def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
 def enumerate_normal_subgroups(
     G: FiniteGroup, budget: int = NORMAL_SUBGROUP_BUDGET
 ) -> List[Subgroup]:
-    """All normal subgroups of G, by BFS over central-mod-N extensions.
+    """All normal subgroups of G, by BFS over index-p central steps.
 
-    From each discovered N, every element x that is central modulo N (one
-    representative per N-coset) spawns the extension <N, x>.  Every normal
-    subgroup arises along a chief series refined through such central
-    extensions, so the sweep is complete.
+    Every chief factor of a finite p-group is central of order p, so every
+    normal M > N contains a normal N<x> with x outside N, x^p in N and
+    [x, g] in N for every generator g.  From each discovered N the BFS
+    therefore only takes these index-p steps,
+    N<x> = N u xN u ... u x^(p-1)N, and still reaches every normal subgroup.
+
+    The candidate test is lookups, not multiplications: the p-th-power map
+    and, for each generator g, the map x -> [x, g] are tabulated once per
+    call.  Gathering N's membership string through a table marks the x
+    whose image lies in N, so the candidates of N are the AND of a few
+    bitsets.  Every x in a child M outside N spawns the same M, so M's
+    elements leave the candidates once M is built, and a child costs
+    multiplications in proportion to its own size.
     """
     hit = G.cache.get("normals")
     if hit is not None:
         return hit
-    comm = G.comm
-    mul = G.mul
-    gens = G.generators
+    order, mul = G.order, G.mul
+    elems = G.elements()
+    gathers = [itemgetter(*[G.pth_power(x) for x in elems])]
+    gathers += [itemgetter(*[G.comm(x, g) for x in elems]) for g in G.generators]
     triv = trivial_subgroup(G)
     seen: Dict[int, Subgroup] = {triv.bits: triv}
     queue = [triv]
@@ -520,29 +535,31 @@ def enumerate_normal_subgroups(
         qi += 1
         nbits = N.bits
         n_elems = list(N.elements())
-        processed = nbits
-        for x in G.elements():
-            if (processed >> x) & 1:
-                continue
-            # centrality of [x, g] mod N is a property of the whole coset xN
-            for n in n_elems:
-                processed |= 1 << mul(x, n)
-            if all((nbits >> comm(x, g)) & 1 for g in gens):
-                # x central mod N, so <N, x> is the coset union N<x>
-                mbits = nbits
-                y = x
-                while not (mbits >> y) & 1:
-                    for n in n_elems:
-                        mbits |= 1 << mul(n, y)
-                    y = mul(y, x)
-                if mbits not in seen:
-                    if len(seen) >= budget:
-                        raise BudgetExceeded(
-                            f"more than {budget} normal subgroups in {G.label}"
-                        )
-                    M = Subgroup(G, mbits, N.witness_list() + [x], normal=True)
-                    seen[mbits] = M
-                    queue.append(M)
+        # member[y] == "1" exactly when y is in N
+        member = bin(nbits)[:1:-1].ljust(order, "0")
+        # bit x of candidates: x^p and every [x, g] lie in N
+        candidates = -1
+        for gather in gathers:
+            candidates &= int("".join(gather(member))[::-1], 2)
+        free = candidates & ~nbits
+        while free:
+            x = (free & -free).bit_length() - 1
+            # x is central of order p modulo N, so <N, x> is the coset union
+            mbits = nbits
+            coset = n_elems
+            for _ in range(G.p - 1):
+                coset = [mul(y, x) for y in coset]
+                for y in coset:
+                    mbits |= 1 << y
+            free &= ~mbits
+            if mbits not in seen:
+                if len(seen) >= budget:
+                    raise BudgetExceeded(
+                        f"more than {budget} normal subgroups in {G.label}"
+                    )
+                M = Subgroup(G, mbits, N.witness_list() + [x], normal=True)
+                seen[mbits] = M
+                queue.append(M)
     result = sorted(seen.values(), key=lambda s: (s.order, s.bits))
     G.cache["normals"] = result
     return result

@@ -514,7 +514,8 @@ _REG_FIELDS = (
 )
 
 
-def _flatten_report(rep: dict) -> dict:
+def flatten_report(rep: dict) -> dict:
+    """The flat field -> value record that ``expected.json`` keeps per instance."""
     return {
         "order": rep["group"]["order"],
         "exponent": rep["exponent"],
@@ -565,7 +566,7 @@ def _suite_catalog_regression(
         if record is None:
             return False, "no expected record for this instance"
         rep = report_mod.analyze_group(G, budget)
-        actual = _flatten_report(rep)
+        actual = flatten_report(rep)
         bad = [
             f"{field}: computed {actual[field]!r} != recorded {record[field]['v']!r}"
             for field in _REG_FIELDS

@@ -164,11 +164,22 @@ def test_cli_analyze_malformed_file(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "missing.json")]) == 2
     assert main(["analyze", "--catalog", "nope"]) == 2
     assert main(["analyze"]) == 2
+    strparam = tmp_path / "strparam.json"
+    strparam.write_text(json.dumps({"format": "pgroup-v1", "prime": 3, "kind": "catalog",
+                                    "name": "mainline_coclass1", "params": {"k": "3"}}))
+    assert main(["analyze", str(strparam)]) == 2
 
 
 def test_cli_analyze_budget_exceeded(capsys):
     assert main(["analyze", "--catalog", "abelian", "--prime", "3",
                  "--param", "exps=1,1", "--budget", "2"]) == 3
+
+
+def test_cli_analyze_scalar_int_list_param(capsys):
+    # a scalar for a list parameter is a one-element list: C_27
+    assert main(["analyze", "--catalog", "abelian", "--param", "exps=3", "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["group"]["order"] == [3, 3]  # 3^3 = 27
 
 
 def test_cli_series(capsys):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pgroups import build_abelian
-from pgroups.errors import BudgetExceeded, NotNormal
+from pgroups.errors import BudgetExceeded, InvariantViolation, NotNormal
 from pgroups.subgroups import (
     center,
     closure,
@@ -294,6 +294,16 @@ def test_enumerate_normal_oracle_small(groups):
         assert got == want, f"{name} {params}"
 
 
+def test_enumerate_matches_central_extension_oracle(groups):
+    from pgroups.catalog import suite_instances
+
+    cases = suite_instances(729) + [("abelian", {"p": 3, "exps": (1, 1, 1, 1)})]
+    for name, params in cases:
+        G = groups(name, **params)
+        got = {N.bits for N in enumerate_normal_subgroups(G)}
+        assert got == oracles.central_extension_normal_subgroups(G), f"{name} {params}"
+
+
 def test_enumerate_respects_budget(groups):
     G = groups("heisenberg", p=3)
     fresh = build_abelian(3, [1, 1, 1])
@@ -344,5 +354,5 @@ def test_subgroup_series_validation(groups):
     from pgroups.subgroups import SubgroupSeries
 
     G = groups("heisenberg", p=3)
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantViolation):
         SubgroupSeries("custom", "ascending", [whole_subgroup(G), trivial_subgroup(G)])

@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from pgroups import catalog as cat  # noqa: E402
 from pgroups.report import analyze_group  # noqa: E402
-from pgroups.verify import _flatten_report, kirillov_formula_series  # noqa: E402
+from pgroups.verify import flatten_report, kirillov_formula_series  # noqa: E402
 from pgroups import eta_series as eta_mod  # noqa: E402
 
 # (entry name, field) -> tag; anything else is "computed".
@@ -65,7 +65,7 @@ def main() -> None:
         key = cat.instance_key(name, params)
         print(f"analyzing {key} ...", flush=True)
         G = cat.catalog_build(name, **params)
-        flat = _flatten_report(analyze_group(G))
+        flat = flatten_report(analyze_group(G))
         record = {
             field: {"v": value, "src": tag_for(name, field)}
             for field, value in flat.items()
