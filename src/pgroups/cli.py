@@ -19,7 +19,7 @@ from .errors import BudgetExceeded, FormatError, NotOddPrime, ParamOutOfRange, P
 from .fileformat import canonical_json, catalog_document, load_path
 from .groups import FiniteGroup
 
-_INPUT_ERRORS = (FormatError, UnknownName, ParamOutOfRange, NotOddPrime, ValueError)
+_INPUT_ERRORS = (FormatError, UnknownName, ParamOutOfRange, NotOddPrime)
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -60,10 +60,10 @@ def _parse_params(pairs: List[str], prime: Optional[int]) -> Dict[str, object]:
         key, sep, val = pair.partition("=")
         if not sep or not key:
             raise ParamOutOfRange(f"--param must look like k=v, got {pair!r}")
-        if "," in val:
-            params[key] = tuple(int(v) for v in val.split(","))
-        else:
-            params[key] = int(val)
+        try:
+            params[key] = tuple(int(v) for v in val.split(",")) if "," in val else int(val)
+        except ValueError:
+            raise ParamOutOfRange(f"--param {key} must be an integer list, got {val!r}") from None
     if prime is not None:
         params["p"] = prime
     return params

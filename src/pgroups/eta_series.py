@@ -6,10 +6,18 @@ embedded when [N, G] <= N^p.  The largest such subgroup eta(G) exists (it is
 the product of all of them, and that product is again powerfully embedded);
 iterating eta on quotients yields the upper eta-series, whose length is the
 powerful class of G.
+
+No quotient group is built here.  For normal N <= M of G, M/N is powerfully
+embedded in G/N exactly when [M, G] <= M^p N, and M^p N, a product of two
+normal subgroups, is again a member of G's normal lattice.  So eta of every
+quotient G/N (pulled back to G), the upper eta-series, powerful height and
+the eta-series test are all filters over G's one cached lattice, with [M, G]
+and M^p cached per member.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -19,17 +27,13 @@ from .subgroups import (
     NORMAL_SUBGROUP_BUDGET,
     Subgroup,
     SubgroupSeries,
-    center,
+    center_over,
     coclass,
     commutator_subgroup,
     enumerate_normal_subgroups,
-    join,
     lower_central_term,
     nilpotency_class,
     power_subgroup,
-    pull_back,
-    push_forward,
-    quotient,
     trivial_subgroup,
     whole_subgroup,
 )
@@ -67,40 +71,89 @@ def is_powerful(G: FiniteGroup) -> bool:
     return is_powerfully_embedded(G, whole_subgroup(G))
 
 
+def _normal_hull(G: FiniteGroup, bits: int, order: int, budget: int) -> Subgroup:
+    """The smallest normal subgroup of G that contains the element set bits.
+
+    The lattice is sorted by order, so this is its first member containing
+    bits; ``order`` is a lower bound on the answer's order that skips the
+    smaller members.
+    """
+    normals = enumerate_normal_subgroups(G, budget)
+    start = bisect_left(normals, order, key=lambda H: H.order)
+    for H in normals[start:]:
+        if bits | H.bits == H.bits:
+            return H
+    raise InvariantViolation(f"no normal subgroup of {G.label} contains the given set")
+
+
+def _pe_over(G: FiniteGroup, M: Subgroup, N: Subgroup, budget: int) -> bool:
+    """M/N is powerfully embedded in G/N, i.e. [M, G] <= M^p N (N <= M normal)."""
+    if N.is_trivial():
+        return is_powerfully_embedded(G, M)
+    mp = power_subgroup(G, M, 1)
+    # M^p N is the normal subgroup of order |M^p| |N| / |M^p n N|
+    order = mp.order * N.order // (mp.bits & N.bits).bit_count()
+    mpn = _normal_hull(G, mp.bits | N.bits, order, budget).bits
+    return commutator_with_group(G, M).bits | mpn == mpn
+
+
+def powerfully_embedded_over(
+    G: FiniteGroup, N: Subgroup, budget: int = NORMAL_SUBGROUP_BUDGET
+) -> List[Subgroup]:
+    """Every normal M >= N with M/N powerfully embedded in G/N, smallest first."""
+    key = ("pwe_over", N.bits)
+    hit = G.cache.get(key)
+    if hit is None:
+        hit = [
+            M
+            for M in enumerate_normal_subgroups(G, budget)
+            if N.bits | M.bits == M.bits and _pe_over(G, M, N, budget)
+        ]
+        G.cache[key] = hit
+    return hit
+
+
 def powerfully_embedded_normals(
     G: FiniteGroup, budget: int = NORMAL_SUBGROUP_BUDGET
 ) -> List[Subgroup]:
     """All powerfully embedded (normal) subgroups, smallest first."""
-    hit = G.cache.get("pwe_normals")
+    return powerfully_embedded_over(G, trivial_subgroup(G), budget)
+
+
+def _join(G: FiniteGroup, subs: Sequence[Subgroup], budget: int) -> Subgroup:
+    """The normal subgroup generated by the normal subgroups subs."""
+    bits = 1
+    for M in subs:
+        bits |= M.bits
+    return _normal_hull(G, bits, bits.bit_count(), budget)
+
+
+def _eta_over(G: FiniteGroup, N: Subgroup, budget: int) -> Subgroup:
+    """The preimage of eta(G/N) in G, for a normal subgroup N.
+
+    The join of every M >= N with M/N powerfully embedded in G/N; the join is
+    then itself certified as powerfully embedded over N and as containing
+    the preimage of Z(G/N).
+    """
+    key = ("eta_over", N.bits)
+    hit = G.cache.get(key)
     if hit is None:
-        hit = [
-            N
-            for N in enumerate_normal_subgroups(G, budget)
-            if is_powerfully_embedded(G, N)
-        ]
-        G.cache["pwe_normals"] = hit
+        e = _join(G, powerfully_embedded_over(G, N, budget), budget)
+        where = f"{G.label} over its normal subgroup of order {N.order}"
+        if not _pe_over(G, e, N, budget):
+            raise InvariantViolation(f"the join for eta of {where} is not powerfully embedded")
+        if not center_over(G, N) <= e:
+            raise InvariantViolation(f"eta of {where} does not contain the center")
+        G.cache[key] = hit = e
     return hit
 
 
 def eta(G: FiniteGroup, budget: int = NORMAL_SUBGROUP_BUDGET) -> Subgroup:
-    """The largest powerfully embedded subgroup of G.
+    """The largest powerfully embedded subgroup of G (the join of all of them).
 
-    Computed as the join of every powerfully embedded subgroup found by full
-    normal-subgroup enumeration; the join is then itself certified as
-    powerfully embedded and as containing the center.
+    The join is certified as powerfully embedded and as containing Z(G).
     """
-    hit = G.cache.get("eta")
-    if hit is None:
-        pes = powerfully_embedded_normals(G, budget)
-        e = join(G, pes)
-        if not is_powerfully_embedded(G, e):
-            raise InvariantViolation(
-                f"join of powerfully embedded subgroups of {G.label} is not powerfully embedded"
-            )
-        if not center(G) <= e:
-            raise InvariantViolation(f"eta({G.label}) does not contain the center")
-        G.cache["eta"] = hit = e
-    return hit
+    return _eta_over(G, trivial_subgroup(G), budget)
 
 
 @dataclass
@@ -127,17 +180,15 @@ def upper_eta_series(G: FiniteGroup, budget: int = NORMAL_SUBGROUP_BUDGET) -> Et
         terms = [trivial_subgroup(G)]
         steps: List[EtaStep] = []
         while not terms[-1].is_whole():
-            Q, proj = quotient(G, terms[-1])
-            eQ = eta(Q, budget)
-            if eQ.is_trivial():
+            N = terms[-1]
+            e = _eta_over(G, N, budget)
+            if e.bits == N.bits:
                 raise InvariantViolation(
-                    f"eta of the nontrivial quotient {Q.label} is trivial"
+                    f"eta of the nontrivial quotient of {G.label} by a normal "
+                    f"subgroup of order {N.order} is trivial"
                 )
-            nxt = pull_back(proj, eQ, kernel=terms[-1])
-            steps.append(EtaStep(Q.order, eQ.order))
-            terms.append(nxt)
-        for lo, hi, step in zip(terms, terms[1:], steps):
-            assert hi.order == lo.order * step.eta_of_quotient_order
+            steps.append(EtaStep(G.order // N.order, e.order // N.order))
+            terms.append(e)
         series = SubgroupSeries("eta", "ascending", terms)
         hit = EtaReport(series, len(terms) - 1, steps)
         G.cache["eta_report"] = hit
@@ -160,12 +211,9 @@ def is_eta_series(G: FiniteGroup, terms: Sequence[Subgroup]) -> bool:
         raise ValueError("an eta-series must be ascending")
     if not all(t.is_normal() for t in terms):
         return False
-    for lo, hi in zip(terms, terms[1:]):
-        Q, proj = quotient(G, lo)
-        img = push_forward(proj, hi)
-        if not is_powerfully_embedded(Q, img):
-            return False
-    return True
+    return all(
+        _pe_over(G, hi, lo, NORMAL_SUBGROUP_BUDGET) for lo, hi in zip(terms, terms[1:])
+    )
 
 
 def powerful_height(
@@ -176,10 +224,11 @@ def powerful_height(
 ) -> int:
     """Length of the shortest eta-series from 1 to the normal subgroup N.
 
-    The answer is produced greedily (each step joins every normal M <= N
-    whose image is powerfully embedded in the current quotient).  The
-    greedy-optimality argument is only known for the full upper eta-series,
-    so a BFS shortest-path oracle over the normal-subgroup DAG cross-checks
+    The answer is produced greedily: each step from K joins every normal
+    M <= N of G with M/K powerfully embedded in G/K, i.e. [M, G] <= M^p K,
+    read off G's normal lattice.  The greedy-optimality argument is only
+    known for the full upper eta-series, so a BFS shortest-path oracle over
+    the same lattice, with an edge K -> M for each such pair, cross-checks
     the result (always for |G| <= 729, controllable via ``oracle``); any
     disagreement raises GreedyOracleMismatch.
     """
@@ -202,21 +251,13 @@ def _pwh_greedy(G: FiniteGroup, N: Subgroup, budget: int) -> int:
     steps = 0
     K = trivial_subgroup(G)
     while K.bits != N.bits:
-        Q, proj = quotient(G, K)
-        n_img = proj.image_bits(N.bits)
-        cands = [
-            M
-            for M in enumerate_normal_subgroups(Q, budget)
-            if not M.is_trivial()
-            and M.bits | n_img == n_img
-            and is_powerfully_embedded(Q, M)
-        ]
-        if not cands:
+        nxt = _join(G, [M for M in powerfully_embedded_over(G, K, budget) if M <= N], budget)
+        if nxt.bits == K.bits:
             raise InvariantViolation(
-                f"no powerfully embedded step below N in {Q.label}; "
+                f"no powerfully embedded step below N over order {K.order} in {G.label}; "
                 "every finite p-group must admit one"
             )
-        K = pull_back(proj, join(Q, cands), kernel=K)
+        K = nxt
         steps += 1
     return steps
 
@@ -224,11 +265,6 @@ def _pwh_greedy(G: FiniteGroup, N: Subgroup, budget: int) -> int:
 def _pwh_bfs(G: FiniteGroup, N: Subgroup, budget: int) -> int:
     if N.is_trivial():
         return 0
-    nodes = [
-        M
-        for M in enumerate_normal_subgroups(G, budget)
-        if M.bits | N.bits == N.bits
-    ]
     seen = {1}
     frontier = [trivial_subgroup(G)]
     depth = 0
@@ -236,16 +272,13 @@ def _pwh_bfs(G: FiniteGroup, N: Subgroup, budget: int) -> int:
         depth += 1
         nxt = []
         for K in frontier:
-            Q, proj = quotient(G, K)
-            for M in nodes:
-                if M.bits in seen or M.bits & K.bits != K.bits:
+            for M in powerfully_embedded_over(G, K, budget):
+                if M.bits in seen or not M <= N:
                     continue
-                img = push_forward(proj, M)
-                if is_powerfully_embedded(Q, img):
-                    if M.bits == N.bits:
-                        return depth
-                    seen.add(M.bits)
-                    nxt.append(M)
+                if M.bits == N.bits:
+                    return depth
+                seen.add(M.bits)
+                nxt.append(M)
         frontier = nxt
     raise InvariantViolation(
         f"subgroup of order {N.order} in {G.label} has no eta-series; impossible"

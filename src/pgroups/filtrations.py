@@ -74,10 +74,6 @@ class PotentFiltration:
         return len(self.terms)
 
 
-def _pf_power_bits(G: FiniteGroup, M: Subgroup) -> int:
-    return power_subgroup(G, M, 1).bits
-
-
 def _pf_iter_comm_bits(G: FiniteGroup, K: Subgroup) -> int:
     key = ("itcomm", K.bits, G.p - 1)
     hit = G.cache.get(key)
@@ -116,7 +112,7 @@ def pf_embedding_witness(
                 continue
             if comm_bits | M.bits != M.bits:
                 continue
-            mp = _pf_power_bits(G, M)
+            mp = power_subgroup(G, M, 1).bits
             if it_bits | mp != mp:
                 continue
             tail = search(M)

@@ -23,6 +23,7 @@ from .errors import (
     NotAutomorphism,
     NotOddPrime,
     OrderMismatch,
+    ParamOutOfRange,
     SizeLimitExceeded,
 )
 
@@ -268,13 +269,6 @@ class GroupHom:
             bits ^= low
         return out
 
-    def preimage_bits(self, bits: int) -> int:
-        out = 0
-        for x, y in enumerate(self.mapping):
-            if (bits >> y) & 1:
-                out |= 1 << x
-        return out
-
     def is_surjective(self) -> bool:
         if self._surjective is None:
             self._surjective = len(set(self.mapping)) == self.target.order
@@ -516,7 +510,7 @@ def build_abelian(p: int, exps: Sequence[int], label: Optional[str] = None) -> F
     validate_odd_prime(p)
     exps = list(exps)
     if not exps or any(e < 1 for e in exps):
-        raise ValueError(f"exponents must be a nonempty list of integers >= 1, got {exps}")
+        raise ParamOutOfRange(f"exponents must be a nonempty list of integers >= 1, got {exps}")
     back = _AbelianBackend(p, exps)
     _check_cap(back.order, "abelian group")
     G = FiniteGroup(
@@ -594,9 +588,9 @@ def build_unitriangular(n: int, p: int, m: int, label: Optional[str] = None) -> 
     """Upper unitriangular n x n matrices over Z/p^m, order p^(m n(n-1)/2)."""
     validate_odd_prime(p)
     if n < 2:
-        raise ValueError(f"matrix dimension must be >= 2, got {n}")
+        raise ParamOutOfRange(f"matrix dimension must be >= 2, got {n}")
     if m < 1:
-        raise ValueError(f"modulus exponent must be >= 1, got {m}")
+        raise ParamOutOfRange(f"modulus exponent must be >= 1, got {m}")
     back = _UnitriangularBackend(n, p, m)
     _check_cap(back.order, f"UT_{n}(Z/{p}^{m})")
     gens = [back.transvection(i) for i in range(n - 1)]
@@ -693,7 +687,7 @@ def build_semidirect(
     if not M.is_abelian():
         raise NotAbelian(f"{M.label} is not abelian")
     if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+        raise ParamOutOfRange(f"t must be >= 1, got {t}")
     amap = extend_to_automorphism(M, alpha_images)
     amod = M.p**t
     _check_cap(M.order * amod, "semidirect product")
@@ -713,12 +707,3 @@ def build_semidirect(
     G.spot_check()
     return G
 
-
-def element_order(G: FiniteGroup, x: int) -> int:
-    """Least p-power p^k with x^(p^k) = 1."""
-    return G.element_order(x)
-
-
-def exponent_of(G: FiniteGroup) -> int:
-    """Maximum element order (always a p-power)."""
-    return G.exponent()

@@ -12,6 +12,7 @@ from typing import Dict, List, Optional, Sequence
 from . import eta_series as eta_mod
 from . import filtrations as pf
 from . import subgroups as sg
+from .errors import InvariantViolation
 from .groups import FiniteGroup
 
 
@@ -49,10 +50,12 @@ def analyze_group(
     pwc = report.powerful_class
 
     # Internal consistency: the series bounds that hold in every group.
-    assert pwc <= cls or G.order == 1
+    if pwc > cls:
+        raise InvariantViolation(f"pwc = {pwc} exceeds the class {cls} of {G.label}")
     for i, z in enumerate(ucs.terms):
         e_i = eta_terms[i] if i < len(eta_terms) else eta_terms[-1]
-        assert z <= e_i, "upper central term escapes the eta term"
+        if not z <= e_i:
+            raise InvariantViolation(f"Z_{i}({G.label}) escapes eta_{i}")
 
     out: Dict[str, object] = {
         "group": {

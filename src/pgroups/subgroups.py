@@ -179,10 +179,6 @@ def normal_closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
                 H = _extend_subgroup(G, H, c, normal=True)
 
 
-def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
-    return H.is_normal()
-
-
 def commutator_subgroup(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
     """Subgroup generated by all [a, b], a in A, b in B.
 
@@ -239,34 +235,53 @@ def omega_subgroup(G: FiniteGroup, i: int) -> Subgroup:
     return hit
 
 
-def center(G: FiniteGroup) -> Subgroup:
-    hit = G.cache.get("center")
+def _tables(G: FiniteGroup) -> List[itemgetter]:
+    """Gathers for x -> x^p, then x -> [x, g] for each generator g, once per group."""
+    hit = G.cache.get("tables")
     if hit is None:
-        mul = G.mul
-        bits = 0
-        for x in G.elements():
-            if all(mul(x, g) == mul(g, x) for g in G.generators):
-                bits |= 1 << x
-        hit = Subgroup(G, bits, normal=True)
-        G.cache["center"] = hit
+        elems = G.elements()
+        hit = [itemgetter(*[G.pth_power(x) for x in elems])]
+        hit += [itemgetter(*[G.comm(x, g) for x in elems]) for g in G.generators]
+        G.cache["tables"] = hit
     return hit
 
 
+def _preimage(G: FiniteGroup, bits: int, tables: Sequence[itemgetter]) -> int:
+    """Bitset of the x that every table maps into the element set bits."""
+    # member[y] == "1" exactly when y is in bits
+    member = bin(bits)[:1:-1].ljust(G.order, "0")
+    out = (1 << G.order) - 1
+    for gather in tables:
+        out &= int("".join(gather(member))[::-1], 2)
+    return out
+
+
+def center_over(G: FiniteGroup, N: Subgroup) -> Subgroup:
+    """The preimage of Z(G/N) in G: every x with [x, g] in N for each generator g."""
+    if not N.is_normal():
+        raise NotNormal(f"subgroup of order {N.order} is not normal in {G.label}")
+    key = ("center_over", N.bits)
+    hit = G.cache.get(key)
+    if hit is None:
+        hit = Subgroup(G, _preimage(G, N.bits, _tables(G)[1:]), normal=True)
+        G.cache[key] = hit
+    return hit
+
+
+def center(G: FiniteGroup) -> Subgroup:
+    return center_over(G, trivial_subgroup(G))
+
+
 def upper_central_series(G: FiniteGroup) -> "SubgroupSeries":
-    """1 = Z_0 <= Z_1 <= ... <= Z_c = G."""
+    """1 = Z_0 <= Z_1 <= ... <= Z_c = G, with Z_(i+1)/Z_i = Z(G/Z_i)."""
     hit = G.cache.get("ucs")
     if hit is None:
-        comm = G.comm
         terms = [trivial_subgroup(G)]
         while not terms[-1].is_whole():
-            prev = terms[-1].bits
-            bits = 0
-            for x in G.elements():
-                if all((prev >> comm(x, g)) & 1 for g in G.generators):
-                    bits |= 1 << x
-            if bits == prev:
+            nxt = center_over(G, terms[-1])
+            if nxt.bits == terms[-1].bits:
                 raise InvariantViolation("upper central series stalled below G")
-            terms.append(Subgroup(G, bits, normal=True))
+            terms.append(nxt)
         hit = SubgroupSeries("upper-central", "ascending", terms)
         G.cache["ucs"] = hit
     return hit
@@ -437,41 +452,6 @@ def quotient(G: FiniteGroup, N: Subgroup) -> Tuple[FiniteGroup, GroupHom]:
     return hit
 
 
-def push_forward(hom: GroupHom, H: Subgroup) -> Subgroup:
-    """Image of a subgroup under a homomorphism (a subgroup of the target)."""
-    bits = 0
-    mapping = hom.mapping
-    for x in H.elements():
-        bits |= 1 << mapping[x]
-    witnesses = [mapping[w] for w in H.witness_list()]
-    normal = True if (H.is_normal() and hom.is_surjective()) else None
-    return Subgroup(hom.target, bits, witnesses, normal=normal)
-
-
-def pull_back(hom: GroupHom, H: Subgroup, kernel: Optional[Subgroup] = None) -> Subgroup:
-    """Preimage of a subgroup of the target along a quotient projection.
-
-    When the projection kernel is supplied as a Subgroup, its witnesses plus
-    coset representatives of H's witnesses generate the preimage; otherwise
-    witnesses are reduced lazily from the bitset.
-    """
-    bits = hom.preimage_bits(H.bits)
-    witnesses = None
-    back = hom.target.backend
-    if kernel is not None:
-        if isinstance(back, _QuotientBackend):
-            section = [back.reps[w] for w in H.witness_list()]
-        else:
-            # identity-style maps: witnesses are their own sections
-            section = [w for w in H.witness_list() if hom.mapping[w] == w]
-            if len(section) != len(H.witness_list()):
-                section = None
-        if section is not None:
-            witnesses = kernel.witness_list() + section
-    normal = True if H.is_normal() else None
-    return Subgroup(hom.source, bits, witnesses, normal=normal)
-
-
 def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
     """A standalone FiniteGroup isomorphic to the subgroup H of G."""
     cache = G.cache.setdefault("subgroup_groups", {})
@@ -511,10 +491,10 @@ def enumerate_normal_subgroups(
     therefore only takes these index-p steps,
     N<x> = N u xN u ... u x^(p-1)N, and still reaches every normal subgroup.
 
-    The candidate test is lookups, not multiplications: the p-th-power map
-    and, for each generator g, the map x -> [x, g] are tabulated once per
-    call.  Gathering N's membership string through a table marks the x
-    whose image lies in N, so the candidates of N are the AND of a few
+    The candidate test is lookups, not multiplications: it gathers N's
+    membership string through the per-group tables of the p-th-power map
+    and of x -> [x, g] for each generator g, the same tables that
+    ``center_over`` reads, so the candidates of N are the AND of a few
     bitsets.  Every x in a child M outside N spawns the same M, so M's
     elements leave the candidates once M is built, and a child costs
     multiplications in proportion to its own size.
@@ -522,10 +502,8 @@ def enumerate_normal_subgroups(
     hit = G.cache.get("normals")
     if hit is not None:
         return hit
-    order, mul = G.order, G.mul
-    elems = G.elements()
-    gathers = [itemgetter(*[G.pth_power(x) for x in elems])]
-    gathers += [itemgetter(*[G.comm(x, g) for x in elems]) for g in G.generators]
+    mul = G.mul
+    tables = _tables(G)
     triv = trivial_subgroup(G)
     seen: Dict[int, Subgroup] = {triv.bits: triv}
     queue = [triv]
@@ -535,13 +513,8 @@ def enumerate_normal_subgroups(
         qi += 1
         nbits = N.bits
         n_elems = list(N.elements())
-        # member[y] == "1" exactly when y is in N
-        member = bin(nbits)[:1:-1].ljust(order, "0")
-        # bit x of candidates: x^p and every [x, g] lie in N
-        candidates = -1
-        for gather in gathers:
-            candidates &= int("".join(gather(member))[::-1], 2)
-        free = candidates & ~nbits
+        # x^p and every [x, g] lie in N
+        free = _preimage(G, nbits, tables) & ~nbits
         while free:
             x = (free & -free).bit_length() - 1
             # x is central of order p modulo N, so <N, x> is the coset union

@@ -74,15 +74,16 @@ def _eta_term(report: eta_mod.EtaReport, i: int) -> sg.Subgroup:
 def random_eta_series(
     G: FiniteGroup, rng: random.Random, budget: int
 ) -> List[sg.Subgroup]:
-    """An ascending eta-series of G built from random powerfully embedded steps."""
+    """An ascending eta-series of G built from random powerfully embedded steps.
+
+    Each step picks a normal M above the last term N with M/N powerfully
+    embedded in G/N, from G's own normal lattice.
+    """
     terms = [sg.trivial_subgroup(G)]
     while not terms[-1].is_whole():
-        Q, proj = sg.quotient(G, terms[-1])
-        cands = [
-            N for N in eta_mod.powerfully_embedded_normals(Q, budget) if not N.is_trivial()
-        ]
-        pick = cands[rng.randrange(len(cands))]
-        terms.append(sg.pull_back(proj, pick, kernel=terms[-1]))
+        # sorted by order, so the first member is the last term itself
+        cands = eta_mod.powerfully_embedded_over(G, terms[-1], budget)[1:]
+        terms.append(cands[rng.randrange(len(cands))])
     return terms
 
 

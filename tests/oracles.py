@@ -3,14 +3,18 @@
 Everything here deliberately avoids the library's algorithms: closures are
 all-pairs product fixpoints, normality conjugates by every element, and
 normal subgroups are enumerated from conjugacy-class unions.  Slow, simple,
-and only run on small groups.  The one exception is
-``central_extension_normal_subgroups``, the library's former enumerator, kept
-as the reference for orders where brute force is too slow.
+and only run on small groups.  The exceptions are the library's former
+algorithms, kept as references for orders where brute force is too slow:
+``central_extension_normal_subgroups`` (the former enumerator) and the
+quotient-group eta machinery (``quotient_upper_eta_series`` and
+``quotient_is_eta_series``), which build G/N instead of reading G's lattice.
 """
 
-from typing import FrozenSet, List, Set
+from typing import FrozenSet, List, Set, Tuple
 
+from pgroups.eta_series import eta, is_powerfully_embedded
 from pgroups.groups import FiniteGroup
+from pgroups.subgroups import Subgroup, quotient
 
 
 def mul_table(G: FiniteGroup) -> List[List[int]]:
@@ -176,3 +180,33 @@ def central_extension_normal_subgroups(G: FiniteGroup) -> Set[int]:
                     seen.add(mbits)
                     queue.append(mbits)
     return seen
+
+
+def quotient_upper_eta_series(G: FiniteGroup) -> Tuple[List[int], List[Tuple[int, int]]]:
+    """Term bitsets and (|G/N|, |eta(G/N)|) steps of the upper eta-series.
+
+    Each step builds Q = G/eta_i, takes eta(Q) in Q's own lattice and pulls
+    its elements back through the projection.
+    """
+    terms = [1]
+    steps = []
+    while terms[-1] != (1 << G.order) - 1:
+        Q, proj = quotient(G, Subgroup(G, terms[-1], normal=True))
+        eQ = eta(Q)
+        terms.append(
+            sum(1 << x for x, y in enumerate(proj.mapping) if (eQ.bits >> y) & 1)
+        )
+        steps.append((Q.order, eQ.order))
+    return terms, steps
+
+
+def quotient_is_eta_series(G: FiniteGroup, terms) -> bool:
+    """Each step image N_(i+1)/N_i is powerfully embedded in the quotient G/N_i."""
+    if not all(t.is_normal() for t in terms):
+        return False
+    for lo, hi in zip(terms, terms[1:]):
+        Q, proj = quotient(G, lo)
+        img = Subgroup(Q, proj.image_bits(hi.bits), normal=True)
+        if not is_powerfully_embedded(Q, img):
+            return False
+    return True

@@ -237,3 +237,26 @@ def test_eta_of_quotient_matches_quotient_of_eta(groups):
         want = proj.image_bits(rep.series.terms[min(i + 1, rep.powerful_class)].bits)
         got = qrep.series.terms[min(i, qrep.powerful_class)].bits
         assert got == want
+
+
+def test_lattice_eta_machinery_matches_quotient_oracle(groups):
+    # G's lattice versus quotient groups: series, steps and the eta-series test
+    from pgroups import catalog as cat
+    from pgroups.verify import random_eta_series
+
+    non_eta = 0
+    for name, params in cat.suite_instances(729):
+        G = groups(name, **params)
+        rep = upper_eta_series(G)
+        terms, steps = oracles.quotient_upper_eta_series(G)
+        assert [t.bits for t in rep.series.terms] == terms, name
+        assert [(s.quotient_order, s.eta_of_quotient_order) for s in rep.steps] == steps
+        rng = random.Random(f"oracle|{cat.instance_key(name, params)}")
+        chains = [random_eta_series(G, rng, 10**6) for _ in range(5)]
+        chains.append([trivial_subgroup(G), whole_subgroup(G)])
+        chains.append(list(reversed(lower_central_series(G).terms)))
+        for chain in chains:
+            want = oracles.quotient_is_eta_series(G, chain)
+            assert is_eta_series(G, chain) == want, name
+            non_eta += not want
+    assert non_eta > 0

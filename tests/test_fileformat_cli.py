@@ -168,6 +168,15 @@ def test_cli_analyze_malformed_file(tmp_path, capsys):
     strparam.write_text(json.dumps({"format": "pgroup-v1", "prime": 3, "kind": "catalog",
                                     "name": "mainline_coclass1", "params": {"k": "3"}}))
     assert main(["analyze", str(strparam)]) == 2
+    zero_exp = tmp_path / "zero_exp.json"
+    zero_exp.write_text(json.dumps({"format": "pgroup-v1", "prime": 3, "kind": "abelian",
+                                    "exps": [0]}))
+    assert main(["analyze", str(zero_exp)]) == 2
+    small_n = tmp_path / "small_n.json"
+    small_n.write_text(json.dumps({"format": "pgroup-v1", "prime": 3, "kind": "unitriangular",
+                                   "n": 1, "m": 1}))
+    assert main(["analyze", str(small_n)]) == 2
+    assert main(["analyze", "--catalog", "unitriangular", "--param", "n=abc"]) == 2
 
 
 def test_cli_analyze_budget_exceeded(capsys):
@@ -201,6 +210,29 @@ def test_cli_series_eta_potent_nopwc(capsys):
     assert [t["order"] for t in out["terms"]] == [
         [5, 0], [5, 1], [5, 2], [5, 3], [5, 5]
     ]
+
+
+@pytest.mark.parametrize("kind", ["eta", "upper-central", "lower-central"])
+def test_cli_series_witnesses_generate_their_terms(kind, groups, tmp_path, capsys):
+    from pgroups import catalog as cat
+    from pgroups.eta_series import upper_eta_series
+    from pgroups.subgroups import closure, lower_central_series, upper_central_series
+
+    for name, params in cat.suite_instances(729):
+        path = tmp_path / "g.json"
+        path.write_text(canonical_json(catalog_document(name, dict(params))))
+        assert main(["series", str(path), "--type", kind, "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)["terms"]
+        G = groups(name, **params)
+        if kind == "eta":
+            terms = upper_eta_series(G).series.terms
+        elif kind == "upper-central":
+            terms = upper_central_series(G).terms
+        else:
+            terms = lower_central_series(G).terms
+        assert len(printed) == len(terms)
+        for entry, term in zip(printed, terms):
+            assert closure(G, entry["witnesses"]).bits == term.bits, name
 
 
 def test_cli_analyze_family_emits_report_per_group(capsys):

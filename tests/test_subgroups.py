@@ -11,7 +11,6 @@ from pgroups.subgroups import (
     enumerate_normal_subgroups,
     frattini,
     is_maximal_class,
-    is_normal,
     iterated_commutator,
     join,
     lower_central_series,
@@ -91,10 +90,10 @@ def test_normal_closure_of_central_element_is_cyclic(groups):
 
 def test_is_normal(groups):
     G = groups("heisenberg", p=3)
-    assert is_normal(G, center(G))
+    assert center(G).is_normal()
     H = closure(G, [G.generators[0]])  # <g1> is not normal: [g1, g2] = g3
     assert H.order == 3
-    assert not is_normal(G, H)
+    assert not H.is_normal()
     table = oracles.mul_table(G)
     assert not oracles.naive_is_normal(table, set(H.elements()))
 
