@@ -15,11 +15,27 @@ from . import eta_series as eta_mod
 from . import report as report_mod
 from . import subgroups as sg
 from . import verify as verify_mod
-from .errors import BudgetExceeded, FormatError, NotOddPrime, ParamOutOfRange, PGroupError, UnknownName
+from .errors import (
+    BudgetExceeded,
+    FormatError,
+    InconsistentPresentation,
+    InvalidWord,
+    NotOddPrime,
+    ParamOutOfRange,
+    PGroupError,
+    UnknownName,
+)
 from .fileformat import canonical_json, catalog_document, load_path
 from .groups import FiniteGroup
 
-_INPUT_ERRORS = (FormatError, UnknownName, ParamOutOfRange, NotOddPrime)
+_INPUT_ERRORS = (
+    FormatError,
+    UnknownName,
+    ParamOutOfRange,
+    NotOddPrime,
+    InvalidWord,
+    InconsistentPresentation,
+)
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:

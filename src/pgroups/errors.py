@@ -14,7 +14,7 @@ class InvalidWord(PGroupError):
 
 
 class InconsistentPresentation(PGroupError):
-    """Collection on the presentation fails the associativity or order check."""
+    """A pc presentation fails the overlap test or the p-power-order check."""
 
 
 class SizeLimitExceeded(PGroupError):

@@ -5,15 +5,16 @@ all-pairs product fixpoints, normality conjugates by every element, and
 normal subgroups are enumerated from conjugacy-class unions.  Slow, simple,
 and only run on small groups.  The exceptions are the library's former
 algorithms, kept as references for orders where brute force is too slow:
-``central_extension_normal_subgroups`` (the former enumerator) and the
+``central_extension_normal_subgroups`` (the former enumerator), the
 quotient-group eta machinery (``quotient_upper_eta_series`` and
-``quotient_is_eta_series``), which build G/N instead of reading G's lattice.
+``quotient_is_eta_series``), which build G/N instead of reading G's lattice,
+and ``sweep_pc_group`` (the former pc consistency certificate).
 """
 
-from typing import FrozenSet, List, Set, Tuple
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 from pgroups.eta_series import eta, is_powerfully_embedded
-from pgroups.groups import FiniteGroup
+from pgroups.groups import FiniteGroup, PcPresentation, _PcBackend
 from pgroups.subgroups import Subgroup, quotient
 
 
@@ -210,3 +211,50 @@ def quotient_is_eta_series(G: FiniteGroup, terms) -> bool:
         if not is_powerfully_embedded(Q, img):
             return False
     return True
+
+
+def sweep_pc_group(pres: PcPresentation) -> Optional[FiniteGroup]:
+    """The collector's group if the presentation is consistent, else None.
+
+    Builds the group of normal words without any certificate, then checks
+    the identity law, associativity on every (x, y, generator) triple (which
+    extends to all triples, because a product is collected letter by
+    letter) and that every element reaches the identity along p-th powers.
+    O(|G|^2 n) through a full multiplication table; orders up to 343.
+    """
+    pres.validate()
+    back = _PcBackend(pres)
+    G = FiniteGroup(
+        pres.p,
+        back.order,
+        back.mul,
+        [back.generator(i) for i in range(1, pres.ngens + 1)],
+        label="sweep",
+        backend=back,
+    )
+    n = G.order
+    table = mul_table(G)
+    for x in range(n):
+        if table[0][x] != x or table[x][0] != x:
+            return None
+    for x in range(n):
+        row = table[x]
+        for y in range(n):
+            xy = row[y]
+            for g in G.generators:
+                if table[xy][g] != row[table[y][g]]:
+                    return None
+    reach = [-1] * n
+    reach[0] = 0
+    for x in range(n):
+        chain = []
+        y = x
+        while reach[y] < 0:
+            chain.append(y)
+            reach[y] = -2
+            y = G.pow(y, pres.p)
+            if reach[y] == -2:
+                return None
+        for z in chain:
+            reach[z] = 1
+    return G

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pgroups import cli, errors
 from pgroups.cli import main
 from pgroups.errors import FormatError
 from pgroups.fileformat import (
@@ -177,6 +178,54 @@ def test_cli_analyze_malformed_file(tmp_path, capsys):
                                    "n": 1, "m": 1}))
     assert main(["analyze", str(small_n)]) == 2
     assert main(["analyze", "--catalog", "unitriangular", "--param", "n=abc"]) == 2
+    self_ref = tmp_path / "self_ref.json"
+    self_ref.write_text(json.dumps({"format": "pgroup-v1", "prime": 3, "kind": "pc", "ngens": 2,
+                                    "powers": {"1": [[1, 1]]}, "conjugates": {}}))
+    assert main(["analyze", str(self_ref)]) == 2
+    inconsistent = tmp_path / "inconsistent.json"
+    inconsistent.write_text(json.dumps({"format": "pgroup-v1", "prime": 3, "kind": "pc", "ngens": 2,
+                                        "powers": {"1": [[2, 1]]}, "conjugates": {"2,1": [[2, 2]]}}))
+    assert main(["analyze", str(inconsistent)]) == 2
+    assert "overlap" in capsys.readouterr().err
+
+
+# CLI exit code of every library error: 2 malformed input, 3 budget, 1 otherwise.
+EXIT_CODES = {
+    "PGroupError": 1,
+    "NotOddPrime": 2,
+    "InvalidWord": 2,
+    "InconsistentPresentation": 2,
+    "SizeLimitExceeded": 1,
+    "NotAutomorphism": 1,
+    "OrderMismatch": 1,
+    "NotAbelian": 1,
+    "NotNormal": 1,
+    "BudgetExceeded": 3,
+    "UnknownName": 2,
+    "ParamOutOfRange": 2,
+    "FormatError": 2,
+    "NotAnEtaSeries": 1,
+    "InvariantViolation": 1,
+    "GreedyOracleMismatch": 1,
+    "NoValidS": 1,
+    "ValidationFailed": 1,
+    "TheoremViolated": 1,
+}
+
+
+def test_cli_exit_code_of_every_error_class(monkeypatch, capsys):
+    classes = {
+        name: obj
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.PGroupError)
+    }
+    assert sorted(classes) == sorted(EXIT_CODES), "classify every new error class here"
+    for name, cls in classes.items():
+        def fail(args, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "_load_groups", fail)
+        assert main(["analyze", "--catalog", "heisenberg"]) == EXIT_CODES[name], name
 
 
 def test_cli_analyze_budget_exceeded(capsys):

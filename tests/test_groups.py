@@ -1,13 +1,16 @@
 import random
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from pgroups import (
     ELEMENT_CAP,
     FiniteGroup,
+    GroupHom,
     InconsistentPresentation,
     InvalidWord,
+    InvariantViolation,
     NotAbelian,
     NotAutomorphism,
     NotOddPrime,
@@ -92,11 +95,17 @@ def test_pc_inconsistent_presentation_detected():
         build_from_pc(pres)
 
 
+def assert_same_arithmetic(G, H):
+    assert G.order == H.order
+    assert all(G.mul(x, g) == H.mul(x, g) for x in range(G.order) for g in G.generators)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_pc_fuzz_builds_or_rejects_cleanly(data):
     # random relation words of valid pc shape: collection must terminate and
-    # either certify a group of order 27 or raise InconsistentPresentation
+    # either certify a group of order 27 or raise InconsistentPresentation,
+    # exactly as the exhaustive sweep decides
     def word(min_gen):
         gens = list(range(min_gen, 4))
         picked = data.draw(st.lists(st.sampled_from(gens), unique=True, max_size=len(gens)))
@@ -113,14 +122,124 @@ def test_pc_fuzz_builds_or_rejects_cleanly(data):
         if data.draw(st.booleans()):
             conjugates[(j, i)] = word(j)
     pres = PcPresentation(3, 3, powers=powers, conjugates=conjugates)
+    H = oracles.sweep_pc_group(pres)
     try:
         G = build_from_pc(pres)
     except InconsistentPresentation:
+        assert H is None
         return
+    assert H is not None
     assert G.order == 27
+    assert_same_arithmetic(G, H)
     for x in (0, 5, 13, 26):
         assert G.mul(x, G.inv(x)) == 0
         assert G.element_order(x) in (1, 3, 9, 27)
+
+
+@st.composite
+def pc_presentations(draw):
+    """Orders up to 3^5, 5^3 and 7^3; g_j^(g_i) = g_j^a w with w in g_(j+1)..g_n.
+
+    An exponent a != 1 is always inconsistent, since g_i would act on the
+    factor <g_j, ..., g_n>/<g_(j+1), ..., g_n> with order dividing p - 1 but
+    not 1; the seeded pc benchmark plants the same fault.
+    """
+    p, most = draw(st.sampled_from([(3, 5), (5, 3), (7, 3)]))
+    n = draw(st.integers(min_value=1, max_value=most))
+
+    def tail(first):
+        return tuple(
+            (g, draw(st.integers(min_value=1, max_value=p - 1)))
+            for g in range(first, n + 1)
+            if draw(st.booleans())
+        )
+
+    powers = {i: tail(i + 1) for i in range(1, n + 1) if draw(st.booleans())}
+    conjugates = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if draw(st.booleans()):
+                a = draw(st.sampled_from([1, 1, 1] + list(range(2, p))))
+                conjugates[(j, i)] = ((j, a),) + tail(j + 1)
+    return PcPresentation(p, n, powers=powers, conjugates=conjugates)
+
+
+@seed(2024)
+@settings(max_examples=80, deadline=None)
+@given(pc_presentations())
+def test_pc_overlap_test_agrees_with_sweep_oracle(pres):
+    H = oracles.sweep_pc_group(pres)
+    try:
+        G = build_from_pc(pres)
+    except InconsistentPresentation:
+        assert H is None
+        return
+    assert H is not None
+    assert_same_arithmetic(G, H)
+
+
+def class2_pres_3_8(extra_conjugates=()):
+    """Order 3^8: g_1..g_5 of class 2 over the central g_6, g_7, g_8."""
+    conjugates = {
+        (2, 1): ((2, 1), (6, 1)),
+        (3, 1): ((3, 1), (7, 1)),
+        (4, 2): ((4, 1), (8, 1)),
+        (5, 3): ((5, 1), (6, 1), (8, 2)),
+        (5, 4): ((5, 1), (7, 1)),
+    }
+    conjugates.update(extra_conjugates)
+    return PcPresentation(3, 8, powers={1: ((6, 1),), 2: ((7, 1),)}, conjugates=conjugates)
+
+
+def test_pc_order_3_8_class_2_is_certified():
+    G = build_from_pc(class2_pres_3_8())
+    assert G.order == 3**8
+    assert G.exponent() == 9
+    G.spot_check()
+
+
+OVERLAP_FAULTS = [
+    # g_1 does not commute with its own power g_1^3 = g_2
+    pytest.param(
+        "g_1^4",
+        PcPresentation(3, 3, powers={1: ((2, 1),)}, conjugates={(2, 1): ((2, 1), (3, 1))}),
+        id="power-power",
+    ),
+    # g_3 = g_2^3 commutes with g_1 as g_2 does, yet g_3^(g_1) = g_3 g_4
+    pytest.param(
+        "g_2^3 g_1",
+        PcPresentation(3, 4, powers={2: ((3, 1),)}, conjugates={(3, 1): ((3, 1), (4, 1))}),
+        id="power-conjugate",
+    ),
+    # Jacobi: g_3 centralizes g_1 and g_2, hence g_4 = [g_2, g_1], yet g_4^(g_3) = g_4 g_5
+    pytest.param(
+        "g_3 g_2 g_1",
+        PcPresentation(3, 5, conjugates={(2, 1): ((2, 1), (4, 1)), (4, 3): ((4, 1), (5, 1))}),
+        id="jacobi",
+    ),
+    # order 3^8, beyond any exhaustive sweep: only the tail <g_7, g_8> is wrong,
+    # g_8^(g_7) = g_8^2 clashing with g_7^3 = 1
+    pytest.param("g_8 g_7^3", class2_pres_3_8({(8, 7): ((8, 2),)}), id="order-3^8-tail"),
+]
+
+
+@pytest.mark.parametrize("overlap, pres", OVERLAP_FAULTS)
+def test_pc_rejection_names_the_failing_overlap(overlap, pres):
+    with pytest.raises(InconsistentPresentation, match=f"^overlap {re.escape(overlap)} "):
+        build_from_pc(pres)
+    if pres.p**pres.ngens <= 343:
+        assert oracles.sweep_pc_group(pres) is None
+
+
+def test_library_built_arithmetic_checks_raise_invariant_violation():
+    # spot_check and GroupHom only test backends and maps the library built,
+    # so a failure there is a bug, never malformed input
+    C3 = build_abelian(3, [1])
+    broken = FiniteGroup(3, 3, lambda a, b: (a - b) % 3, [1])
+    with pytest.raises(InvariantViolation):
+        broken.spot_check()
+    with pytest.raises(InvariantViolation):
+        GroupHom(C3, C3, [0, 1, 1])
 
 
 def test_pc_modular_group_exponent():
