@@ -66,10 +66,6 @@ class InvariantViolation(PGroupError):
     """
 
 
-class GreedyOracleMismatch(InvariantViolation):
-    """Greedy powerful height disagrees with the BFS shortest-series oracle."""
-
-
 class NoValidS(InvariantViolation):
     """No shift parameter satisfies the uniserial power-shift identity."""
 

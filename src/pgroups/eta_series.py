@@ -21,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import GreedyOracleMismatch, InvariantViolation, NoValidS, NotNormal
+from .errors import InvariantViolation, NoValidS, NotNormal
 from .groups import FiniteGroup
 from .subgroups import (
     NORMAL_SUBGROUP_BUDGET,
@@ -37,11 +37,6 @@ from .subgroups import (
     trivial_subgroup,
     whole_subgroup,
 )
-
-# The shortest-series BFS oracle cross-checks greedy powerful height on all
-# groups up to this order.
-_PWH_ORACLE_LIMIT = 729
-
 
 def commutator_with_group(G: FiniteGroup, N: Subgroup) -> Subgroup:
     """[N, G], memoized per subgroup."""
@@ -217,37 +212,20 @@ def is_eta_series(G: FiniteGroup, terms: Sequence[Subgroup]) -> bool:
 
 
 def powerful_height(
-    G: FiniteGroup,
-    N: Subgroup,
-    budget: int = NORMAL_SUBGROUP_BUDGET,
-    oracle: Optional[bool] = None,
+    G: FiniteGroup, N: Subgroup, budget: int = NORMAL_SUBGROUP_BUDGET
 ) -> int:
     """Length of the shortest eta-series from 1 to the normal subgroup N.
 
-    The answer is produced greedily: each step from K joins every normal
-    M <= N of G with M/K powerfully embedded in G/K, i.e. [M, G] <= M^p K,
-    read off G's normal lattice.  The greedy-optimality argument is only
-    known for the full upper eta-series, so a BFS shortest-path oracle over
-    the same lattice, with an edge K -> M for each such pair, cross-checks
-    the result (always for |G| <= 729, controllable via ``oracle``); any
-    disagreement raises GreedyOracleMismatch.
+    Greedily, K_0 = 1 and K_{i+1} is the join of every normal M <= N of G
+    with M/K_i powerfully embedded in G/K_i, i.e. [M, G] <= M^p K_i, read off
+    G's normal lattice.  Each join is certified powerfully embedded over
+    K_i, so (K_i) is an eta-series of N.  It is a shortest one: let (N_i) be
+    any eta-series of N and assume N_i <= K_i.  Then M = N_{i+1} K_i
+    satisfies K_i <= M <= N and [M, G] = [N_{i+1}, G][K_i, G] <= M^p K_i, so
+    M is one of the subgroups joined into K_{i+1}, and N_{i+1} <= K_{i+1}.
     """
     if not N.is_normal():
         raise NotNormal("powerful height is defined for normal subgroups")
-    greedy = _pwh_greedy(G, N, budget)
-    if oracle is None:
-        oracle = G.order <= _PWH_ORACLE_LIMIT
-    if oracle:
-        shortest = _pwh_bfs(G, N, budget)
-        if shortest != greedy:
-            raise GreedyOracleMismatch(
-                f"greedy powerful height {greedy} != BFS shortest {shortest} "
-                f"for subgroup of order {N.order} in {G.label}"
-            )
-    return greedy
-
-
-def _pwh_greedy(G: FiniteGroup, N: Subgroup, budget: int) -> int:
     steps = 0
     K = trivial_subgroup(G)
     while K.bits != N.bits:
@@ -257,32 +235,14 @@ def _pwh_greedy(G: FiniteGroup, N: Subgroup, budget: int) -> int:
                 f"no powerfully embedded step below N over order {K.order} in {G.label}; "
                 "every finite p-group must admit one"
             )
+        if not _pe_over(G, nxt, K, budget):
+            raise InvariantViolation(
+                f"the join for a powerful-height step of {G.label} over its normal "
+                f"subgroup of order {K.order} is not powerfully embedded"
+            )
         K = nxt
         steps += 1
     return steps
-
-
-def _pwh_bfs(G: FiniteGroup, N: Subgroup, budget: int) -> int:
-    if N.is_trivial():
-        return 0
-    seen = {1}
-    frontier = [trivial_subgroup(G)]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for K in frontier:
-            for M in powerfully_embedded_over(G, K, budget):
-                if M.bits in seen or not M <= N:
-                    continue
-                if M.bits == N.bits:
-                    return depth
-                seen.add(M.bits)
-                nxt.append(M)
-        frontier = nxt
-    raise InvariantViolation(
-        f"subgroup of order {N.order} in {G.label} has no eta-series; impossible"
-    )
 
 
 def eta_capability_obstruction(G: FiniteGroup) -> Optional[str]:

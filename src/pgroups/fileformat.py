@@ -12,7 +12,7 @@ import json
 from typing import Dict, List, Tuple
 
 from .catalog import catalog_instances, resolve_params
-from .errors import FormatError
+from .errors import FormatError, NotAutomorphism, OrderMismatch
 from .groups import (
     FiniteGroup,
     PcPresentation,
@@ -139,7 +139,11 @@ def _load_semidirect(doc: dict, prime: int) -> FiniteGroup:
             raise FormatError("semidirect: alpha rows must have one exponent per generator")
         images.append(M.backend.encode(vec))
     t = _require(doc, "t", int, "semidirect")
-    return build_semidirect(M, images, t)
+    try:
+        return build_semidirect(M, images, t)
+    except (NotAutomorphism, OrderMismatch) as exc:
+        # here alpha is input; catalog builders raise these on bugs only
+        raise FormatError(f"semidirect: {exc}") from exc
 
 
 def _load_catalog(doc: dict, prime: int) -> List[FiniteGroup]:

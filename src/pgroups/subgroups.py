@@ -422,7 +422,12 @@ class _QuotientBackend:
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> Tuple[FiniteGroup, GroupHom]:
-    """G/N on coset representatives, plus the projection homomorphism."""
+    """G/N on coset representatives, plus the projection homomorphism.
+
+    The projection is a homomorphism by construction: N is checked normal,
+    so (aN)(bN) = abN, and Q multiplies two cosets as the coset of the
+    product of their representatives.
+    """
     if not N.is_normal():
         raise NotNormal(f"subgroup of order {N.order} is not normal in {G.label}")
     cache = G.cache.setdefault("quotients", {})

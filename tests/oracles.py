@@ -8,14 +8,15 @@ algorithms, kept as references for orders where brute force is too slow:
 ``central_extension_normal_subgroups`` (the former enumerator), the
 quotient-group eta machinery (``quotient_upper_eta_series`` and
 ``quotient_is_eta_series``), which build G/N instead of reading G's lattice,
-and ``sweep_pc_group`` (the former pc consistency certificate).
+``sweep_pc_group`` (the former pc consistency certificate) and ``pwh_bfs``
+(the former cross-check of greedy powerful height).
 """
 
 from typing import FrozenSet, List, Optional, Set, Tuple
 
-from pgroups.eta_series import eta, is_powerfully_embedded
+from pgroups.eta_series import eta, is_powerfully_embedded, powerfully_embedded_over
 from pgroups.groups import FiniteGroup, PcPresentation, _PcBackend
-from pgroups.subgroups import Subgroup, quotient
+from pgroups.subgroups import Subgroup, quotient, trivial_subgroup
 
 
 def mul_table(G: FiniteGroup) -> List[List[int]]:
@@ -258,3 +259,29 @@ def sweep_pc_group(pres: PcPresentation) -> Optional[FiniteGroup]:
         for z in chain:
             reach[z] = 1
     return G
+
+
+def pwh_bfs(G: FiniteGroup, N: Subgroup) -> int:
+    """Length of the shortest eta-series from 1 to the normal subgroup N.
+
+    Breadth-first search over G's normal lattice, with an edge K -> M for
+    every M <= N with M/K powerfully embedded in G/K: no greedy choice.
+    """
+    if N.is_trivial():
+        return 0
+    seen = {1}
+    frontier = [trivial_subgroup(G)]
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for K in frontier:
+            for M in powerfully_embedded_over(G, K):
+                if M.bits in seen or not M <= N:
+                    continue
+                if M.bits == N.bits:
+                    return depth
+                seen.add(M.bits)
+                nxt.append(M)
+        frontier = nxt
+    raise AssertionError(f"subgroup of order {N.order} in {G.label} has no eta-series")

@@ -151,15 +151,15 @@ def test_criterion_8_coclass_checks_at_2187():
 def test_criterion_9_oracle_equivalences():
     with _Timer(9, 600.0, "greedy height vs BFS, enumeration vs brute force, powers vs closures"):
         # greedy powerful height == BFS shortest eta-series for EVERY normal
-        # subgroup of every group of order <= 3^6 (mismatch would raise)
+        # subgroup of every group of order <= 3^6
         for name, params in suite_instances(729):
             G = catalog_build(name, **params)
             rep = upper_eta_series(G)
             for i, term in enumerate(rep.series.terms):
-                assert powerful_height(G, term, oracle=True) <= i
-            assert powerful_height(G, whole_subgroup(G), oracle=True) == rep.powerful_class
+                assert powerful_height(G, term) <= i
+            assert powerful_height(G, whole_subgroup(G)) == rep.powerful_class
             for N in enumerate_normal_subgroups(G):
-                powerful_height(G, N, oracle=True)
+                assert powerful_height(G, N) == oracles.pwh_bfs(G, N), (name, params, N.order)
 
         # normal-subgroup enumeration == brute force on orders <= 3^4
         for name, params in suite_instances(81):

@@ -123,8 +123,7 @@ def test_powerful_height_oracle_agrees_everywhere(groups):
         G = groups(name, **params)
         rep = upper_eta_series(G)
         for i, term in enumerate(rep.series.terms):
-            # oracle=True forces the BFS cross-check; GreedyOracleMismatch would raise
-            assert powerful_height(G, term, oracle=True) <= i
+            assert powerful_height(G, term) == oracles.pwh_bfs(G, term) <= i
 
 
 def test_is_eta_series(groups):

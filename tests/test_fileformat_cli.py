@@ -187,6 +187,12 @@ def test_cli_analyze_malformed_file(tmp_path, capsys):
                                         "powers": {"1": [[2, 1]]}, "conjugates": {"2,1": [[2, 2]]}}))
     assert main(["analyze", str(inconsistent)]) == 2
     assert "overlap" in capsys.readouterr().err
+    for alpha, why in [([[1, 0], [1, 0]], "not bijective"), ([[2, 0], [0, 1]], "not the identity")]:
+        semidirect = tmp_path / "semidirect.json"
+        semidirect.write_text(json.dumps({"format": "pgroup-v1", "prime": 3, "kind": "semidirect",
+                                          "m": {"exps": [1, 1]}, "alpha": alpha, "t": 1}))
+        assert main(["analyze", str(semidirect)]) == 2
+        assert why in capsys.readouterr().err
 
 
 # CLI exit code of every library error: 2 malformed input, 3 budget, 1 otherwise.
@@ -206,7 +212,6 @@ EXIT_CODES = {
     "FormatError": 2,
     "NotAnEtaSeries": 1,
     "InvariantViolation": 1,
-    "GreedyOracleMismatch": 1,
     "NoValidS": 1,
     "ValidationFailed": 1,
     "TheoremViolated": 1,

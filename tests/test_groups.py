@@ -7,10 +7,8 @@ from hypothesis import given, seed, settings, strategies as st
 from pgroups import (
     ELEMENT_CAP,
     FiniteGroup,
-    GroupHom,
     InconsistentPresentation,
     InvalidWord,
-    InvariantViolation,
     NotAbelian,
     NotAutomorphism,
     NotOddPrime,
@@ -195,7 +193,7 @@ def test_pc_order_3_8_class_2_is_certified():
     G = build_from_pc(class2_pres_3_8())
     assert G.order == 3**8
     assert G.exponent() == 9
-    G.spot_check()
+    _law_sample(G, samples=2000)
 
 
 OVERLAP_FAULTS = [
@@ -229,17 +227,6 @@ def test_pc_rejection_names_the_failing_overlap(overlap, pres):
         build_from_pc(pres)
     if pres.p**pres.ngens <= 343:
         assert oracles.sweep_pc_group(pres) is None
-
-
-def test_library_built_arithmetic_checks_raise_invariant_violation():
-    # spot_check and GroupHom only test backends and maps the library built,
-    # so a failure there is a bug, never malformed input
-    C3 = build_abelian(3, [1])
-    broken = FiniteGroup(3, 3, lambda a, b: (a - b) % 3, [1])
-    with pytest.raises(InvariantViolation):
-        broken.spot_check()
-    with pytest.raises(InvariantViolation):
-        GroupHom(C3, C3, [0, 1, 1])
 
 
 def test_pc_modular_group_exponent():
@@ -444,7 +431,7 @@ def test_quotient_by_whole_is_trivial(groups):
     G = groups("heisenberg", p=3)
     Q, proj = quotient(G, whole_subgroup(G))
     assert Q.order == 1
-    assert proj.is_surjective()
+    assert set(proj.mapping) == set(Q.elements())
 
 
 def test_quotient_heisenberg_by_center(groups):
@@ -453,8 +440,8 @@ def test_quotient_heisenberg_by_center(groups):
     assert Q.order == 9
     assert Q.is_abelian()
     assert Q.exponent() == 3
-    assert proj.is_surjective()
-    # projection is a homomorphism everywhere, not just on the sample
+    assert set(proj.mapping) == set(Q.elements())
+    # projection is a homomorphism on every pair
     for a in range(27):
         for b in range(27):
             assert proj(G.mul(a, b)) == Q.mul(proj(a), proj(b))

@@ -13,3 +13,25 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+
+def _imported_modules(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or ""]
+    return []
+
+
+def test_only_verify_samples():
+    # verify's random eta-series are samples by design; every other module
+    # computes exact answers or certificates
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path != SRC / "verify.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if any(m.split(".")[0] == "random" for m in _imported_modules(node))
+    ]
+    assert found == []

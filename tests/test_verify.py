@@ -7,7 +7,9 @@ from pgroups.verify import (
     random_eta_series,
     run_suites,
 )
+from pgroups.catalog import suite_instances
 from pgroups.eta_series import is_eta_series, upper_eta_series
+from pgroups.subgroups import join, power_subgroup, quotient, trivial_subgroup
 
 
 def test_each_suite_passes_on_small_orders():
@@ -50,3 +52,26 @@ def test_kirillov_formula_terms_are_subgroups(groups):
     assert terms[-1].is_whole()
     rep = upper_eta_series(G)
     assert [t.order for t in terms] == rep.series.orders()
+
+
+def test_verify_quotient_projections_are_homomorphisms(groups):
+    # Every quotient the eta-lemmas suite builds (the center step
+    # G/(eta_{k+1}^p eta_k), G/eta_j, G/eta^p and G/eta), plus G/1.  The
+    # projection must be onto and respect x * g for every element x and
+    # generator g, which extends to every product.
+    for name, params in suite_instances(729):
+        G = groups(name, **params)
+        terms = upper_eta_series(G).series.terms
+        kernels = [trivial_subgroup(G), power_subgroup(G, terms[1], 1), *terms]
+        kernels += [join(G, [power_subgroup(G, hi, 1), lo]) for lo, hi in zip(terms, terms[1:])]
+        for N in {N.bits: N for N in kernels}.values():
+            Q, proj = quotient(G, N)
+            mp = proj.mapping
+            assert set(mp) == set(Q.elements()), (name, params, N.order)
+            bad = [
+                (x, g)
+                for x in G.elements()
+                for g in G.generators
+                if mp[G.mul(x, g)] != Q.mul(mp[x], mp[g])
+            ]
+            assert not bad, (name, params, N.order, bad[:3])
