@@ -82,7 +82,7 @@ class FiniteGroup:
         self.label = label
         self.backend = backend
         self._inv_fn = inv
-        self._inv: Optional[List[int]] = None
+        self._inv: Dict[int, int] = {}
         self._pth: Optional[List[int]] = None
         self._ordexp: Optional[List[int]] = None
         self._abelian: Optional[bool] = None
@@ -106,15 +106,12 @@ class FiniteGroup:
         return result
 
     def inv(self, x: int) -> int:
-        if self._inv is None:
-            self._build_inverses()
-        return self._inv[x]
-
-    def _build_inverses(self) -> None:
-        if self._inv_fn is not None:
-            self._inv = [self._inv_fn(x) for x in self.elements()]
-        else:
-            self._inv = [self.pow(x, self.element_order(x) - 1) for x in self.elements()]
+        """x^-1, memoized per element: the backend's inverse, else x^(|G|-1)."""
+        hit = self._inv.get(x)
+        if hit is None:
+            hit = self._inv_fn(x) if self._inv_fn is not None else self.pow(x, self.order - 1)
+            self._inv[x] = hit
+        return hit
 
     def conj(self, x: int, g: int) -> int:
         """g^-1 x g."""

@@ -9,6 +9,7 @@ intermediates are memoized on the owning group's cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -18,12 +19,30 @@ from .groups import FiniteGroup, GroupHom
 NORMAL_SUBGROUP_BUDGET = 1_000_000
 
 
+# bytes.translate maps between the digits of bin() and 0/1 membership flags
+_TO_FLAGS = bytes.maketrans(b"01", b"\0\1")
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def bits_iter(bits: int) -> Iterator[int]:
-    """Set bit positions in ascending order."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
+    """Set bit positions in ascending order, in time linear in bits.bit_length()."""
+    flags = bin(bits)[:1:-1].encode().translate(_TO_FLAGS)
+    return compress(range(len(flags)), flags)
+
+
+def _membership(G: FiniteGroup, bits: int) -> str:
+    """The digits of bits over G's elements: member[x] == "1" exactly when x is in bits."""
+    return bin(bits)[:1:-1].ljust(G.order, "0")
+
+
+def _flags(G: FiniteGroup, bits: int) -> bytearray:
+    """Membership flags of bits: flags[x] == 1 exactly when x is in bits."""
+    return bytearray(_membership(G, bits).encode().translate(_TO_FLAGS))
+
+
+def _from_flags(flags: bytearray) -> int:
+    """The bitset whose members are the x with flags[x] == 1."""
+    return int(flags.translate(_TO_DIGITS)[::-1], 2)
 
 
 class Subgroup:
@@ -104,12 +123,11 @@ def whole_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def _orbit_extend(
-    G: FiniteGroup, bits: int, members: List[int], witnesses: List[int], seeds: List[int]
-) -> int:
-    """Close (bits, members) under right multiplication by witnesses.
+    G: FiniteGroup, flags: bytearray, members: List[int], witnesses: List[int], seeds: List[int]
+) -> None:
+    """Close (flags, members) under right multiplication by witnesses, in place.
 
-    ``seeds`` are the members that still need processing; members is extended
-    in place.  Returns the new bitset.
+    ``seeds`` are the members that still need processing.
     """
     mul = G.mul
     queue = list(seeds)
@@ -117,49 +135,44 @@ def _orbit_extend(
         x = queue.pop()
         for g in witnesses:
             y = mul(x, g)
-            if not (bits >> y) & 1:
-                bits |= 1 << y
+            if not flags[y]:
+                flags[y] = 1
                 members.append(y)
                 queue.append(y)
-    return bits
+
+
+def _close(G: FiniteGroup, flags: bytearray, members: List[int], gens: Iterable[int]) -> List[int]:
+    """Extend the subgroup (flags, members) by each of gens in turn; return the gens used."""
+    witnesses: List[int] = []
+    for x in gens:
+        if flags[x]:
+            continue
+        witnesses.append(x)
+        flags[x] = 1
+        members.append(x)
+        _orbit_extend(G, flags, members, witnesses, members[:])
+    return witnesses
 
 
 def closure(G: FiniteGroup, gens: Iterable[int], normal: Optional[bool] = None) -> Subgroup:
     """Smallest subgroup containing gens (worklist closure)."""
-    bits = 1
-    members = [0]
-    witnesses: List[int] = []
-    for x in gens:
-        if (bits >> x) & 1:
-            continue
-        witnesses.append(x)
-        bits |= 1 << x
-        members.append(x)
-        bits = _orbit_extend(G, bits, members, witnesses, members[:])
-    return Subgroup(G, bits, witnesses, normal=normal)
+    flags = _flags(G, 1)
+    witnesses = _close(G, flags, [0], gens)
+    return Subgroup(G, _from_flags(flags), witnesses, normal=normal)
 
 
 def _extend_subgroup(G: FiniteGroup, H: Subgroup, x: int, normal: Optional[bool]) -> Subgroup:
     """Closure of H together with one extra element."""
-    bits = H.bits | (1 << x)
-    members = list(bits_iter(H.bits)) + [x]
+    flags = _flags(G, H.bits)
+    flags[x] = 1
+    members = list(H.elements()) + [x]
     witnesses = H.witness_list() + [x]
-    bits = _orbit_extend(G, bits, members, witnesses, members[:])
-    return Subgroup(G, bits, witnesses, normal=normal)
+    _orbit_extend(G, flags, members, witnesses, members[:])
+    return Subgroup(G, _from_flags(flags), witnesses, normal=normal)
 
 
 def _reduce_witnesses(G: FiniteGroup, bits: int) -> List[int]:
-    ws: List[int] = []
-    cl = 1
-    members = [0]
-    for x in bits_iter(bits):
-        if (cl >> x) & 1:
-            continue
-        ws.append(x)
-        cl |= 1 << x
-        members.append(x)
-        cl = _orbit_extend(G, cl, members, ws, members[:])
-    return ws
+    return _close(G, _flags(G, 1), [0], bits_iter(bits))
 
 
 def normal_closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
@@ -235,23 +248,96 @@ def omega_subgroup(G: FiniteGroup, i: int) -> Subgroup:
     return hit
 
 
-def _tables(G: FiniteGroup) -> List[itemgetter]:
-    """Gathers for x -> x^p, then x -> [x, g] for each generator g, once per group."""
+class GroupTables:
+    """Lookup tables for G's normal lattice, built once per group (``G.cache["tables"]``).
+
+    - ``right[k][x] = x g_k`` for each generator g_k: the only d |G| products;
+    - a breadth-first word tree: ``x = parent[x] g_(gen[x])``, so ``word(x)``
+      spells x in the generators and multiplying a whole list by x is a
+      gather along that word;
+    - ``pth``, the gather of x -> x^p;
+    - ``comm[k]``, the gather of x -> [x, g_k].  Along the tree,
+      [y h, g] = [y, g]^h [h, g] = (g^-1)^(y h) g, so (g^-1)^x is walked
+      down the tree through the conjugation tables z -> h^-1 z h, and those
+      come from the walk x -> h^-1 x and ``right``.  No product is taken
+      beyond ``right`` and the p-th powers, and the conjugation tables are
+      dropped once the gathers are built.
+
+    Raises InvariantViolation when the generators do not reach every element.
+    """
+
+    __slots__ = ("right", "parent", "gen", "pth", "comm")
+
+    def __init__(self, G: FiniteGroup) -> None:
+        n, mul = G.order, G.mul
+        # one int object per element, shared by every table below
+        ints = list(range(n))
+        right = [[ints[mul(x, g)] for x in ints] for g in G.generators]
+        parent = [0] * n
+        gen = [0] * n
+        tree = [0]
+        seen = _flags(G, 1)
+        for x in tree:
+            for k, r in enumerate(right):
+                y = r[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    parent[y] = x
+                    gen[y] = k
+                    tree.append(y)
+        if len(tree) != n:
+            raise InvariantViolation(
+                f"the generators of {G.label} reach {len(tree)} of its {n} elements"
+            )
+        del tree[0]
+
+        def walk(start: int, tabs: Sequence[List[int]]) -> List[int]:
+            # out[x] = tabs[k_m](... tabs[k_1](start)) along the word k_1 ... k_m of x
+            out = [start] * n
+            for x in tree:
+                out[x] = tabs[gen[x]][out[parent[x]]]
+            return out
+
+        # y g = 1 exactly for y = g^-1
+        inverses = [r.index(0) for r in right]
+        # z -> h^-1 z h
+        conj = [[r[z] for z in walk(hinv, right)] for r, hinv in zip(right, inverses)]
+        self.right = right
+        self.parent = parent
+        self.gen = gen
+        self.pth = itemgetter(*map(G.pth_power, range(n)))
+        self.comm = [
+            itemgetter(*[r[z] for z in walk(ginv, conj)]) for r, ginv in zip(right, inverses)
+        ]
+
+    def word(self, x: int) -> List[int]:
+        """Generator indices k_1, ..., k_m with x = g_(k_1) ... g_(k_m)."""
+        out = []
+        while x:
+            out.append(self.gen[x])
+            x = self.parent[x]
+        out.reverse()
+        return out
+
+    def right_mul(self, elems: List[int], x: int) -> List[int]:
+        """[y x for y in elems], as gathers along the word of x."""
+        for k in self.word(x):
+            elems = list(map(self.right[k].__getitem__, elems))
+        return elems
+
+
+def _tables(G: FiniteGroup) -> GroupTables:
     hit = G.cache.get("tables")
     if hit is None:
-        elems = G.elements()
-        hit = [itemgetter(*[G.pth_power(x) for x in elems])]
-        hit += [itemgetter(*[G.comm(x, g) for x in elems]) for g in G.generators]
+        hit = GroupTables(G)
         G.cache["tables"] = hit
     return hit
 
 
-def _preimage(G: FiniteGroup, bits: int, tables: Sequence[itemgetter]) -> int:
-    """Bitset of the x that every table maps into the element set bits."""
-    # member[y] == "1" exactly when y is in bits
-    member = bin(bits)[:1:-1].ljust(G.order, "0")
-    out = (1 << G.order) - 1
-    for gather in tables:
+def _preimage(member: str, gathers: Sequence[itemgetter]) -> int:
+    """Bitset of the x that every gather maps into the set with membership digits member."""
+    out = (1 << len(member)) - 1
+    for gather in gathers:
         out &= int("".join(gather(member))[::-1], 2)
     return out
 
@@ -263,7 +349,7 @@ def center_over(G: FiniteGroup, N: Subgroup) -> Subgroup:
     key = ("center_over", N.bits)
     hit = G.cache.get(key)
     if hit is None:
-        hit = Subgroup(G, _preimage(G, N.bits, _tables(G)[1:]), normal=True)
+        hit = Subgroup(G, _preimage(_membership(G, N.bits), _tables(G).comm), normal=True)
         G.cache[key] = hit
     return hit
 
@@ -485,59 +571,88 @@ def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
 # -- normal subgroup enumeration ----------------------------------------------
 
 
+def _central_steps(G: FiniteGroup, nbits: int, allowed: int) -> Iterator[Tuple[int, int]]:
+    """(x, bits of N<x>) for each normal N<x> of index p over N = nbits with x in allowed.
+
+    x is a candidate when x^p and every [x, g] lie in N, which the gathers
+    of N's membership string decide for all x at once.  x is then central of
+    order p modulo N, so N<x> = N u Nx u ... u Nx^(p-1); each coset is a
+    gather of the previous one along x's word.  Every x' in N<x> outside N
+    spawns the same subgroup, so N<x> leaves the candidates once built, and
+    x is always the least element of N<x> outside N that is allowed.
+    """
+    T = _tables(G)
+    member = _membership(G, nbits)
+    free = _preimage(member, [T.pth, *T.comm]) & allowed
+    n_elems = list(bits_iter(nbits))
+    while free:
+        x = (free & -free).bit_length() - 1
+        flags = bytearray(member.encode())
+        coset = n_elems
+        for _ in range(G.p - 1):
+            coset = T.right_mul(coset, x)
+            for y in coset:
+                flags[y] = 49  # ord("1")
+        mbits = int(flags[::-1], 2)
+        free &= ~mbits
+        yield x, mbits
+
+
 def enumerate_normal_subgroups(
     G: FiniteGroup, budget: int = NORMAL_SUBGROUP_BUDGET
 ) -> List[Subgroup]:
-    """All normal subgroups of G, by BFS over index-p central steps.
+    """All normal subgroups of G, each built exactly once.
 
     Every chief factor of a finite p-group is central of order p, so every
-    normal M > N contains a normal N<x> with x outside N, x^p in N and
-    [x, g] in N for every generator g.  From each discovered N the BFS
-    therefore only takes these index-p steps,
-    N<x> = N u xN u ... u x^(p-1)N, and still reaches every normal subgroup.
+    normal M > 1 contains a normal N of index p, and M = N<x> for any x in
+    M outside N; x^p and every [x, g] then lie in N (``_central_steps``).
 
-    The candidate test is lookups, not multiplications: it gathers N's
-    membership string through the per-group tables of the p-th-power map
-    and of x -> [x, g] for each generator g, the same tables that
-    ``center_over`` reads, so the candidates of N are the AND of a few
-    bitsets.  Every x in a child M outside N spawns the same M, so M's
-    elements leave the candidates once M is built, and a child costs
-    multiplications in proportion to its own size.
+    Reverse search over a fixed chief series 1 = C_0 < C_1 < ... < C_n = G
+    (Avis and Fukuda 1996; induced pc sequences, Holt, Eick and O'Brien
+    2005, ch. 8) picks one such N per M.  The series is the first
+    lowest-bit path: C_(i+1) = C_i<x> for the least candidate x of C_i.
+    Let level(N) be the least i with N <= C_i.  For normal M of level j > 0,
+    P = M n C_(j-1) is normal, and it has index p in M because M C_(j-1) =
+    C_j.  P is M's canonical parent.  From each N only candidates x outside
+    C_level(N) are taken.  Then M = N<x> has parent N: with j = level(M) >
+    level(N), N <= M n C_(j-1), and both have index p in M.  Conversely M is
+    reached from P, since any x in M outside P lies outside C_(j-1) >=
+    C_level(P).  So by induction on |M| every normal subgroup is reached,
+    and only from its parent; within one parent each child is built once
+    because its elements leave the candidates.  A child reached twice is
+    therefore an InvariantViolation.
+
+    M's witnesses are its parent's plus the least element of M outside the
+    parent.  The budget counts distinct normal subgroups.
     """
     hit = G.cache.get("normals")
     if hit is not None:
         return hit
-    mul = G.mul
-    tables = _tables(G)
+    full = (1 << G.order) - 1
     triv = trivial_subgroup(G)
+    chain = [1]
+    while chain[-1] != full:
+        step = next(_central_steps(G, chain[-1], full ^ chain[-1]), None)
+        if step is None:
+            raise InvariantViolation(f"chief series of {G.label} stalled below G")
+        chain.append(step[1])
     seen: Dict[int, Subgroup] = {triv.bits: triv}
-    queue = [triv]
-    qi = 0
-    while qi < len(queue):
-        N = queue[qi]
-        qi += 1
-        nbits = N.bits
-        n_elems = list(N.elements())
-        # x^p and every [x, g] lie in N
-        free = _preimage(G, nbits, tables) & ~nbits
-        while free:
-            x = (free & -free).bit_length() - 1
-            # x is central of order p modulo N, so <N, x> is the coset union
-            mbits = nbits
-            coset = n_elems
-            for _ in range(G.p - 1):
-                coset = [mul(y, x) for y in coset]
-                for y in coset:
-                    mbits |= 1 << y
-            free &= ~mbits
-            if mbits not in seen:
-                if len(seen) >= budget:
-                    raise BudgetExceeded(
-                        f"more than {budget} normal subgroups in {G.label}"
-                    )
-                M = Subgroup(G, mbits, N.witness_list() + [x], normal=True)
-                seen[mbits] = M
-                queue.append(M)
+    queue = [(triv, 0)]
+    for N, level in queue:
+        for x, mbits in _central_steps(G, N.bits, full ^ chain[level]):
+            if mbits in seen:
+                raise InvariantViolation(
+                    f"normal subgroup of order {mbits.bit_count()} in {G.label} reached twice"
+                )
+            if len(seen) >= budget:
+                raise BudgetExceeded(f"more than {budget} normal subgroups in {G.label}")
+            M = Subgroup(G, mbits, N.witness_list() + [x], normal=True)
+            seen[mbits] = M
+            # x lies in C_level(M) and outside C_(level(M)-1)
+            child_level = level + 1
+            while not (chain[child_level] >> x) & 1:
+                child_level += 1
+            queue.append((M, child_level))
     result = sorted(seen.values(), key=lambda s: (s.order, s.bits))
     G.cache["normals"] = result
     return result

@@ -5,14 +5,16 @@ all-pairs product fixpoints, normality conjugates by every element, and
 normal subgroups are enumerated from conjugacy-class unions.  Slow, simple,
 and only run on small groups.  The exceptions are the library's former
 algorithms, kept as references for orders where brute force is too slow:
-``central_extension_normal_subgroups`` (the former enumerator), the
+``central_extension_normal_subgroups`` and ``bfs_normal_subgroups`` (two
+former enumerators, the second one with its witnesses), the
 quotient-group eta machinery (``quotient_upper_eta_series`` and
 ``quotient_is_eta_series``), which build G/N instead of reading G's lattice,
 ``sweep_pc_group`` (the former pc consistency certificate) and ``pwh_bfs``
 (the former cross-check of greedy powerful height).
 """
 
-from typing import FrozenSet, List, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from pgroups.eta_series import eta, is_powerfully_embedded, powerfully_embedded_over
 from pgroups.groups import FiniteGroup, PcPresentation, _PcBackend
@@ -182,6 +184,46 @@ def central_extension_normal_subgroups(G: FiniteGroup) -> Set[int]:
                     seen.add(mbits)
                     queue.append(mbits)
     return seen
+
+
+def bfs_normal_subgroups(G: FiniteGroup) -> List[Subgroup]:
+    """Normal subgroups with witnesses, by BFS over index-p central steps.
+
+    From each discovered N, in discovery order, every x outside N with x^p
+    and each [x, g] in N spawns N<x> = N u xN u ... u x^(p-1)N, multiplied
+    out with ``G.mul``; x runs upward and skips the elements of children
+    already built from N.  The first discovery of M fixes its witnesses,
+    N.witness_list() + [x].  A normal M is rebuilt once for every normal
+    maximal subgroup of M.  Sorted like the library's lattice.
+    """
+    n = G.order
+    gathers = [itemgetter(*[G.pth_power(x) for x in range(n)])]
+    gathers += [itemgetter(*[G.comm(x, g) for x in range(n)]) for g in G.generators]
+    triv = trivial_subgroup(G)
+    seen: Dict[int, Subgroup] = {triv.bits: triv}
+    queue = [triv]
+    for N in queue:
+        nbits = N.bits
+        member = bin(nbits)[:1:-1].ljust(n, "0")
+        free = (1 << n) - 1
+        for gather in gathers:
+            free &= int("".join(gather(member))[::-1], 2)
+        free &= ~nbits
+        n_elems = [x for x in range(n) if (nbits >> x) & 1]
+        while free:
+            x = (free & -free).bit_length() - 1
+            mbits = nbits
+            coset = n_elems
+            for _ in range(G.p - 1):
+                coset = [G.mul(y, x) for y in coset]
+                for y in coset:
+                    mbits |= 1 << y
+            free &= ~mbits
+            if mbits not in seen:
+                M = Subgroup(G, mbits, N.witness_list() + [x], normal=True)
+                seen[mbits] = M
+                queue.append(M)
+    return sorted(seen.values(), key=lambda s: (s.order, s.bits))
 
 
 def quotient_upper_eta_series(G: FiniteGroup) -> Tuple[List[int], List[Tuple[int, int]]]:

@@ -229,6 +229,25 @@ def test_pc_rejection_names_the_failing_overlap(overlap, pres):
         assert oracles.sweep_pc_group(pres) is None
 
 
+def test_pc_inverse_is_one_power():
+    # class 2 of order 3^7: g_1^3 = g_6, [g_2, g_1] = g_7, with g_6 and g_7 central
+    pres = PcPresentation(3, 7, powers={1: ((6, 1),)}, conjugates={(2, 1): ((2, 1), (7, 1))})
+    G = build_from_pc(pres)
+    calls = [0]
+    mul = G.mul
+
+    def counting(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    G.mul = counting
+    x = G.order - 1
+    y = G.inv(x)
+    assert calls[0] <= 2 * G.order.bit_length()
+    assert G.inv(x) == y and calls[0] <= 2 * G.order.bit_length()
+    assert mul(x, y) == 0 and mul(y, x) == 0
+
+
 def test_pc_modular_group_exponent():
     pres = PcPresentation(
         3, 3, powers={2: ((3, 1),)}, conjugates={(2, 1): ((2, 1), (3, 1))}

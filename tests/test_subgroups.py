@@ -2,8 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pgroups import build_abelian
+from pgroups import catalog as cat
 from pgroups.errors import BudgetExceeded, InvariantViolation, NotNormal
+from pgroups.groups import FiniteGroup
 from pgroups.subgroups import (
+    GroupTables,
     center,
     closure,
     coclass,
@@ -301,6 +304,99 @@ def test_enumerate_matches_central_extension_oracle(groups):
         G = groups(name, **params)
         got = {N.bits for N in enumerate_normal_subgroups(G)}
         assert got == oracles.central_extension_normal_subgroups(G), f"{name} {params}"
+
+
+def test_enumerate_matches_bfs_oracle_with_witnesses(groups):
+    from pgroups.catalog import suite_instances
+
+    cases = suite_instances(729) + [
+        ("abelian", {"p": 3, "exps": (1, 1, 1, 1)}),
+        ("unitriangular", {"n": 4, "p": 3, "m": 1}),
+    ]
+    for name, params in cases:
+        G = groups(name, **params)
+        got = [(N.bits, N.witness_list()) for N in enumerate_normal_subgroups(G)]
+        want = [(N.bits, N.witness_list()) for N in oracles.bfs_normal_subgroups(G)]
+        assert got == want, f"{name} {params}"
+
+
+def _gathered(gather, n):
+    """gather applied to 0..n-1 as a list (itemgetter of one index gives a scalar)."""
+    out = gather(range(n))
+    return list(out) if n > 1 else [out]
+
+
+def _table_cases(groups):
+    H = groups("heisenberg", p=3)
+    return [
+        H,  # pc
+        groups("abelian", p=3, exps=(2, 1)),
+        groups("unitriangular", n=3, p=3, m=1),
+        groups("kirillov_quotient", p=3, e=1),  # semidirect
+        quotient(H, center(H))[0],
+        quotient(H, whole_subgroup(H))[0],  # order 1, no generators
+        build_abelian(3, [2]),  # cyclic: one generator, cosets of |N| = 1
+    ]
+
+
+def test_lattice_tables_agree_with_backend_arithmetic(groups):
+    for G in _table_cases(groups):
+        T = GroupTables(G)
+        n, gens = G.order, G.generators
+        assert len(T.right) == len(T.comm) == len(gens), G.label
+        assert _gathered(T.pth, n) == [G.pow(x, G.p) for x in range(n)], G.label
+        for k, g in enumerate(gens):
+            assert T.right[k] == [G.mul(x, g) for x in range(n)], G.label
+            assert _gathered(T.comm[k], n) == [G.comm(x, g) for x in range(n)], G.label
+        for x in range(n):
+            y = 0
+            for k in T.word(x):
+                y = G.mul(y, gens[k])
+            assert y == x, G.label
+            assert T.right_mul([0, x], x) == [x, G.mul(x, x)], G.label
+
+
+def test_lattice_tables_edge_groups(groups):
+    H = groups("heisenberg", p=3)
+    trivial_quotient = quotient(H, whole_subgroup(H))[0]
+    cyclic = build_abelian(3, [2])
+    assert [N.bits for N in enumerate_normal_subgroups(trivial_quotient)] == [1]
+    assert GroupTables(trivial_quotient).word(0) == []
+    got = [(N.bits, N.witness_list()) for N in enumerate_normal_subgroups(cyclic)]
+    assert got == [(N.bits, N.witness_list()) for N in oracles.bfs_normal_subgroups(cyclic)]
+    assert [N.order for N in enumerate_normal_subgroups(cyclic)] == [1, 3, 9]
+    # C_3 x C_3 with a generating list that only reaches the first factor
+    C = build_abelian(3, [1, 1])
+    G = FiniteGroup(3, C.order, C.mul, [C.generators[0]], label="C3xC3 on one generator")
+    with pytest.raises(InvariantViolation):
+        GroupTables(G)
+    with pytest.raises(InvariantViolation):
+        enumerate_normal_subgroups(G)
+
+
+@pytest.mark.parametrize(
+    "name, params, bound",
+    [
+        ("kirillov_quotient", {"p": 3, "e": 2}, 45_927),
+        ("abelian", {"p": 3, "exps": (1, 1, 1, 1, 1)}, 1_944),
+        ("unitriangular", {"n": 3, "p": 3, "m": 2}, 3_645),
+    ],
+)
+def test_enumeration_products_are_bounded(name, params, bound):
+    # the tables take d |G| products and the p-th powers (p - 1) |G|; cosets
+    # and the candidate test are gathers, so a product per coset element fails
+    G = cat.catalog_build(name, **params)
+    assert bound == (len(G.generators) + G.p) * G.order
+    calls = [0]
+    mul = G.mul
+
+    def counting(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    G.mul = counting
+    enumerate_normal_subgroups(G)
+    assert calls[0] <= bound
 
 
 def test_enumerate_respects_budget(groups):
