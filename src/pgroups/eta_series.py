@@ -7,17 +7,17 @@ the product of all of them, and that product is again powerfully embedded);
 iterating eta on quotients yields the upper eta-series, whose length is the
 powerful class of G.
 
-No quotient group is built here.  For normal N <= M of G, M/N is powerfully
-embedded in G/N exactly when [M, G] <= M^p N, and M^p N, a product of two
-normal subgroups, is again a member of G's normal lattice.  So eta of every
-quotient G/N (pulled back to G), the upper eta-series, powerful height and
-the eta-series test are all filters over G's one cached lattice, with [M, G]
-and M^p cached per member.
+No quotient group and no closure is built here.  For normal N <= M of G,
+M/N is powerfully embedded in G/N exactly when [M, G] <= M^p N, and M^p N,
+a product of two normal subgroups, is again a member of G's normal lattice.
+So eta of every quotient G/N (pulled back to G), the upper eta-series,
+powerful height and the eta-series test are all filters over G's one cached
+lattice.  [M, G], M^p and the joins come from ``subgroups``, which reads
+them off that lattice as ``normal_hull`` lookups once it is cached.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -29,23 +29,16 @@ from .subgroups import (
     SubgroupSeries,
     center_over,
     coclass,
-    commutator_subgroup,
+    commutator_with_group,
     enumerate_normal_subgroups,
+    join,
     lower_central_term,
     nilpotency_class,
+    normal_hull,
     power_subgroup,
     trivial_subgroup,
     whole_subgroup,
 )
-
-def commutator_with_group(G: FiniteGroup, N: Subgroup) -> Subgroup:
-    """[N, G], memoized per subgroup."""
-    key = ("ngcomm", N.bits)
-    hit = G.cache.get(key)
-    if hit is None:
-        hit = commutator_subgroup(G, N, whole_subgroup(G))
-        G.cache[key] = hit
-    return hit
 
 
 def is_powerfully_embedded(G: FiniteGroup, N: Subgroup) -> bool:
@@ -66,29 +59,14 @@ def is_powerful(G: FiniteGroup) -> bool:
     return is_powerfully_embedded(G, whole_subgroup(G))
 
 
-def _normal_hull(G: FiniteGroup, bits: int, order: int, budget: int) -> Subgroup:
-    """The smallest normal subgroup of G that contains the element set bits.
-
-    The lattice is sorted by order, so this is its first member containing
-    bits; ``order`` is a lower bound on the answer's order that skips the
-    smaller members.
-    """
-    normals = enumerate_normal_subgroups(G, budget)
-    start = bisect_left(normals, order, key=lambda H: H.order)
-    for H in normals[start:]:
-        if bits | H.bits == H.bits:
-            return H
-    raise InvariantViolation(f"no normal subgroup of {G.label} contains the given set")
-
-
-def _pe_over(G: FiniteGroup, M: Subgroup, N: Subgroup, budget: int) -> bool:
+def _pe_over(G: FiniteGroup, M: Subgroup, N: Subgroup) -> bool:
     """M/N is powerfully embedded in G/N, i.e. [M, G] <= M^p N (N <= M normal)."""
     if N.is_trivial():
         return is_powerfully_embedded(G, M)
     mp = power_subgroup(G, M, 1)
     # M^p N is the normal subgroup of order |M^p| |N| / |M^p n N|
     order = mp.order * N.order // (mp.bits & N.bits).bit_count()
-    mpn = _normal_hull(G, mp.bits | N.bits, order, budget).bits
+    mpn = normal_hull(G, mp.bits | N.bits, order).bits
     return commutator_with_group(G, M).bits | mpn == mpn
 
 
@@ -102,7 +80,7 @@ def powerfully_embedded_over(
         hit = [
             M
             for M in enumerate_normal_subgroups(G, budget)
-            if N.bits | M.bits == M.bits and _pe_over(G, M, N, budget)
+            if N.bits | M.bits == M.bits and _pe_over(G, M, N)
         ]
         G.cache[key] = hit
     return hit
@@ -115,14 +93,6 @@ def powerfully_embedded_normals(
     return powerfully_embedded_over(G, trivial_subgroup(G), budget)
 
 
-def _join(G: FiniteGroup, subs: Sequence[Subgroup], budget: int) -> Subgroup:
-    """The normal subgroup generated by the normal subgroups subs."""
-    bits = 1
-    for M in subs:
-        bits |= M.bits
-    return _normal_hull(G, bits, bits.bit_count(), budget)
-
-
 def _eta_over(G: FiniteGroup, N: Subgroup, budget: int) -> Subgroup:
     """The preimage of eta(G/N) in G, for a normal subgroup N.
 
@@ -133,9 +103,9 @@ def _eta_over(G: FiniteGroup, N: Subgroup, budget: int) -> Subgroup:
     key = ("eta_over", N.bits)
     hit = G.cache.get(key)
     if hit is None:
-        e = _join(G, powerfully_embedded_over(G, N, budget), budget)
+        e = join(G, powerfully_embedded_over(G, N, budget))
         where = f"{G.label} over its normal subgroup of order {N.order}"
-        if not _pe_over(G, e, N, budget):
+        if not _pe_over(G, e, N):
             raise InvariantViolation(f"the join for eta of {where} is not powerfully embedded")
         if not center_over(G, N) <= e:
             raise InvariantViolation(f"eta of {where} does not contain the center")
@@ -206,9 +176,7 @@ def is_eta_series(G: FiniteGroup, terms: Sequence[Subgroup]) -> bool:
         raise ValueError("an eta-series must be ascending")
     if not all(t.is_normal() for t in terms):
         return False
-    return all(
-        _pe_over(G, hi, lo, NORMAL_SUBGROUP_BUDGET) for lo, hi in zip(terms, terms[1:])
-    )
+    return all(_pe_over(G, hi, lo) for lo, hi in zip(terms, terms[1:]))
 
 
 def powerful_height(
@@ -229,13 +197,13 @@ def powerful_height(
     steps = 0
     K = trivial_subgroup(G)
     while K.bits != N.bits:
-        nxt = _join(G, [M for M in powerfully_embedded_over(G, K, budget) if M <= N], budget)
+        nxt = join(G, [M for M in powerfully_embedded_over(G, K, budget) if M <= N])
         if nxt.bits == K.bits:
             raise InvariantViolation(
                 f"no powerfully embedded step below N over order {K.order} in {G.label}; "
                 "every finite p-group must admit one"
             )
-        if not _pe_over(G, nxt, K, budget):
+        if not _pe_over(G, nxt, K):
             raise InvariantViolation(
                 f"the join for a powerful-height step of {G.label} over its normal "
                 f"subgroup of order {K.order} is not powerfully embedded"

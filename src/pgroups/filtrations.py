@@ -13,11 +13,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from .errors import NotAnEtaSeries, NotNormal, TheoremViolated, ValidationFailed
-from .eta_series import commutator_with_group, is_eta_series, powerful_class
+from .eta_series import is_eta_series, powerful_class
 from .groups import FiniteGroup
 from .subgroups import (
     NORMAL_SUBGROUP_BUDGET,
     Subgroup,
+    commutator_with_group,
     enumerate_normal_subgroups,
     iterated_commutator,
     join,
@@ -74,15 +75,6 @@ class PotentFiltration:
         return len(self.terms)
 
 
-def _pf_iter_comm_bits(G: FiniteGroup, K: Subgroup) -> int:
-    key = ("itcomm", K.bits, G.p - 1)
-    hit = G.cache.get(key)
-    if hit is None:
-        hit = iterated_commutator(G, K, G.p - 1).bits
-        G.cache[key] = hit
-    return hit
-
-
 def pf_embedding_witness(
     G: FiniteGroup, N: Subgroup, budget: int = NORMAL_SUBGROUP_BUDGET
 ) -> Optional[PotentFiltration]:
@@ -106,7 +98,7 @@ def pf_embedding_witness(
             return hit
         memo[K.bits] = None  # cut cycles (descent makes real cycles impossible)
         comm_bits = commutator_with_group(G, K).bits
-        it_bits = _pf_iter_comm_bits(G, K)
+        it_bits = iterated_commutator(G, K, G.p - 1).bits
         for M in reversed(nodes):  # larger steps first; deterministic
             if M.bits == K.bits or M.bits | K.bits != K.bits:
                 continue

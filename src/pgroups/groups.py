@@ -121,19 +121,14 @@ class FiniteGroup:
         """[x, y] = x^-1 y^-1 x y."""
         return self.mul(self.inv(self.mul(y, x)), self.mul(x, y))
 
-    def pth_power(self, x: int) -> int:
+    def pth_map(self) -> List[int]:
+        """The cached p-th power map: pth_map()[x] == x**p.  Callers must not mutate it."""
         if self._pth is None:
             self._build_power_tables()
-        return self._pth[x]
+        return self._pth
 
-    def power_pi(self, x: int, i: int) -> int:
-        """x**(p**i) via the cached p-th power map."""
-        if self._pth is None:
-            self._build_power_tables()
-        pth = self._pth
-        for _ in range(i):
-            x = pth[x]
-        return x
+    def pth_power(self, x: int) -> int:
+        return self.pth_map()[x]
 
     def _build_power_tables(self) -> None:
         mul, p = self.mul, self.p

@@ -3,11 +3,16 @@
 A subgroup is identified by the bitset of its element indices (an int), so
 set algebra is big-integer arithmetic and deduplication is hashing.  All
 operations are pure functions of immutable inputs; results and expensive
-intermediates are memoized on the owning group's cache.
+intermediates are memoized on the owning group's cache.  Once G's normal
+lattice is cached, [N, G], powers, Omega_i, Phi and joins of normal
+subgroups are lookups in it (``normal_hull``); before that they are
+closures.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
@@ -193,7 +198,7 @@ def normal_closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
 
 
 def commutator_subgroup(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
-    """Subgroup generated by all [a, b], a in A, b in B.
+    """Subgroup generated by all [a, b], a in A, b in B, by closure.
 
     When both arguments are normal this equals the normal closure of the
     witness-pair commutators; otherwise all element pairs are swept.
@@ -208,20 +213,81 @@ def commutator_subgroup(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
     return closure(G, sorted(gens))
 
 
+def power_image(G: FiniteGroup, N: Subgroup, i: int) -> set:
+    """The raw set of p^i-th powers of elements of N (no closure)."""
+    image: Iterable[int] = N.elements()
+    pth = G.pth_map().__getitem__
+    for _ in range(i):
+        image = map(pth, image)
+    return set(image)
+
+
+# -- derived subgroups: lattice lookups once G's lattice is cached --------------
+#
+# Each derived subgroup below is normal and is the smallest normal subgroup
+# containing a set of elements read off the tables: [N, G] is generated as a
+# normal subgroup by the [x, g_k] with x in N (modulo that hull every x in N
+# commutes with every generator); M^(p^i) of a normal M is generated by the
+# p^i-th powers, a G-invariant set; Omega_i(G) by the elements of order at
+# most p^i.  So once G's lattice is cached each one is ``normal_hull`` of
+# that set.  A group whose lattice is not cached gets the closure instead and
+# never starts an enumeration: a lattice costs far more than one closure.
+
+
+def _lattice_cached(G: FiniteGroup) -> bool:
+    return G.cache.get("normals") is not None
+
+
+def _bits_of(G: FiniteGroup, elems: Iterable[int]) -> int:
+    """The bitset of an element collection."""
+    flags = bytearray(G.order)
+    for y in elems:
+        flags[y] = 1
+    return _from_flags(flags)
+
+
+def normal_hull(G: FiniteGroup, bits: int, order: int = 0) -> Subgroup:
+    """The smallest normal subgroup of G that contains the element set bits.
+
+    G's lattice is sorted by order, so this is its first member containing
+    bits.  The scan starts at ``order``, a known lower bound on the answer's
+    order (``bits.bit_count()`` is always one).  Enumerates the lattice,
+    within the default budget, when it is not cached yet.
+    """
+    normals = enumerate_normal_subgroups(G)
+    start = bisect_left(normals, max(order, bits.bit_count()), key=lambda H: H.order)
+    for H in normals[start:]:
+        if bits | H.bits == H.bits:
+            return H
+    raise InvariantViolation(f"no normal subgroup of {G.label} contains the given set")
+
+
+def commutator_with_group(G: FiniteGroup, N: Subgroup) -> Subgroup:
+    """[N, G], memoized per subgroup."""
+    key = ("ngcomm", N.bits)
+    hit = G.cache.get(key)
+    if hit is None:
+        if _lattice_cached(G):
+            # witnesses generate N, so their [w, g_k] have the same hull
+            gens = N._witnesses if N._witnesses is not None else list(N.elements())
+            image = set()
+            for f in _tables(G).comm_maps:
+                image.update(map(f.__getitem__, gens))
+            hit = normal_hull(G, _bits_of(G, image))
+        else:
+            hit = commutator_subgroup(G, N, whole_subgroup(G))
+        G.cache[key] = hit
+    return hit
+
+
 def iterated_commutator(G: FiniteGroup, N: Subgroup, k: int) -> Subgroup:
     """[N, G, G, ..., G] with k copies of G (k = 0 gives N)."""
     out = N
-    whole = whole_subgroup(G)
     for _ in range(k):
-        out = commutator_subgroup(G, out, whole)
         if out.is_trivial():
             break
+        out = commutator_with_group(G, out)
     return out
-
-
-def power_image(G: FiniteGroup, N: Subgroup, i: int) -> set:
-    """The raw set of p^i-th powers of elements of N (no closure)."""
-    return {G.power_pi(x, i) for x in N.elements()}
 
 
 def power_subgroup(G: FiniteGroup, N: Subgroup, i: int) -> Subgroup:
@@ -231,8 +297,11 @@ def power_subgroup(G: FiniteGroup, N: Subgroup, i: int) -> Subgroup:
     key = ("npow", N.bits, i)
     hit = G.cache.get(key)
     if hit is None:
-        normal = True if N.is_normal() else None
-        hit = closure(G, sorted(power_image(G, N, i)), normal=normal)
+        normal = N.is_normal()
+        if normal and _lattice_cached(G):
+            hit = normal_hull(G, _bits_of(G, power_image(G, N, i)))
+        else:
+            hit = closure(G, sorted(power_image(G, N, i)), normal=True if normal else None)
         G.cache[key] = hit
     return hit
 
@@ -243,7 +312,10 @@ def omega_subgroup(G: FiniteGroup, i: int) -> Subgroup:
     hit = G.cache.get(key)
     if hit is None:
         gens = [x for x in G.elements() if G.order_exponent(x) <= i]
-        hit = closure(G, gens, normal=True)
+        if _lattice_cached(G):
+            hit = normal_hull(G, _bits_of(G, gens))
+        else:
+            hit = closure(G, gens, normal=True)
         G.cache[key] = hit
     return hit
 
@@ -255,8 +327,9 @@ class GroupTables:
     - a breadth-first word tree: ``x = parent[x] g_(gen[x])``, so ``word(x)``
       spells x in the generators and multiplying a whole list by x is a
       gather along that word;
-    - ``pth``, the gather of x -> x^p;
-    - ``comm[k]``, the gather of x -> [x, g_k].  Along the tree,
+    - ``pth``, the map x -> x^p: G's own list (``FiniteGroup.pth_map``);
+    - ``comm_maps[k]``, the map x -> [x, g_k] as a list, and ``comm[k]``, its
+      gather (an itemgetter over the same int objects).  Along the tree,
       [y h, g] = [y, g]^h [h, g] = (g^-1)^(y h) g, so (g^-1)^x is walked
       down the tree through the conjugation tables z -> h^-1 z h, and those
       come from the walk x -> h^-1 x and ``right``.  No product is taken
@@ -266,7 +339,7 @@ class GroupTables:
     Raises InvariantViolation when the generators do not reach every element.
     """
 
-    __slots__ = ("right", "parent", "gen", "pth", "comm")
+    __slots__ = ("right", "parent", "gen", "pth", "comm_maps", "comm")
 
     def __init__(self, G: FiniteGroup) -> None:
         n, mul = G.order, G.mul
@@ -305,10 +378,9 @@ class GroupTables:
         self.right = right
         self.parent = parent
         self.gen = gen
-        self.pth = itemgetter(*map(G.pth_power, range(n)))
-        self.comm = [
-            itemgetter(*[r[z] for z in walk(ginv, conj)]) for r, ginv in zip(right, inverses)
-        ]
+        self.pth = G.pth_map()
+        self.comm_maps = [[r[z] for z in walk(ginv, conj)] for r, ginv in zip(right, inverses)]
+        self.comm = [itemgetter(*f) for f in self.comm_maps]
 
     def word(self, x: int) -> List[int]:
         """Generator indices k_1, ..., k_m with x = g_(k_1) ... g_(k_m)."""
@@ -397,14 +469,23 @@ def lower_central_term(G: FiniteGroup, i: int) -> Subgroup:
 
 
 def join(G: FiniteGroup, subs: Sequence[Subgroup]) -> Subgroup:
-    """Smallest subgroup containing every member of subs."""
+    """Smallest subgroup containing every member of subs.
+
+    The join of normal subgroups is normal, so once G's lattice is cached it
+    is the normal hull of their union.
+    """
     if not subs:
         return trivial_subgroup(G)
+    normal = all(H.is_normal() for H in subs)
+    if normal and _lattice_cached(G):
+        bits = 0
+        for H in subs:
+            bits |= H.bits
+        return normal_hull(G, bits, max(H.order for H in subs))
     gens: List[int] = []
     for H in subs:
         gens.extend(H.witness_list())
-    normal = True if all(H.is_normal() for H in subs) else None
-    return closure(G, gens, normal=normal)
+    return closure(G, gens, normal=True if normal else None)
 
 
 def frattini(G: FiniteGroup) -> Subgroup:
@@ -414,7 +495,7 @@ def frattini(G: FiniteGroup) -> Subgroup:
         whole = whole_subgroup(G)
         hit = join(
             G,
-            [power_subgroup(G, whole, 1), commutator_subgroup(G, whole, whole)],
+            [power_subgroup(G, whole, 1), commutator_with_group(G, whole)],
         )
         G.cache["frattini"] = hit
     return hit
@@ -571,31 +652,39 @@ def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
 # -- normal subgroup enumeration ----------------------------------------------
 
 
-def _central_steps(G: FiniteGroup, nbits: int, allowed: int) -> Iterator[Tuple[int, int]]:
-    """(x, bits of N<x>) for each normal N<x> of index p over N = nbits with x in allowed.
+def _fibers(maps: Sequence[List[int]], n: int) -> Tuple[array, array]:
+    """The inverse images of maps on 0..n-1, in CSR form.
 
-    x is a candidate when x^p and every [x, g] lie in N, which the gathers
-    of N's membership string decide for all x at once.  x is then central of
-    order p modulo N, so N<x> = N u Nx u ... u Nx^(p-1); each coset is a
-    gather of the previous one along x's word.  Every x' in N<x> outside N
-    spawns the same subgroup, so N<x> leaves the candidates once built, and
-    x is always the least element of N<x> outside N that is allowed.
+    Over every f in maps, the x with f(x) = y are xs[start[y]:start[y + 1]],
+    with multiplicity.  Arrays keep them at 4 bytes per entry.
     """
-    T = _tables(G)
-    member = _membership(G, nbits)
-    free = _preimage(member, [T.pth, *T.comm]) & allowed
-    n_elems = list(bits_iter(nbits))
-    while free:
-        x = (free & -free).bit_length() - 1
-        flags = bytearray(member.encode())
-        coset = n_elems
-        for _ in range(G.p - 1):
-            coset = T.right_mul(coset, x)
-            for y in coset:
-                flags[y] = 49  # ord("1")
-        mbits = int(flags[::-1], 2)
-        free &= ~mbits
-        yield x, mbits
+    start = array("I", bytes(4 * (n + 1)))
+    for f in maps:
+        for y in f:
+            start[y + 1] += 1
+    for y in range(n):
+        start[y + 1] += start[y]
+    slot = start[:-1]
+    xs = array("I", bytes(4 * start[n]))
+    for f in maps:
+        for x, y in enumerate(f):
+            xs[slot[y]] = x
+            slot[y] += 1
+    return xs, start
+
+
+def _coset_bits(G: FiniteGroup, T: GroupTables, elems: List[int], x: int) -> int:
+    """Bits of Nx u Nx^2 u ... u Nx^(p-1), N having the elements elems.
+
+    Each coset is a gather of the previous one along x's word.
+    """
+    flags = bytearray(b"0") * G.order
+    coset = elems
+    for _ in range(G.p - 1):
+        coset = T.right_mul(coset, x)
+        for y in coset:
+            flags[y] = 49  # ord("1")
+    return int(flags[::-1], 2)
 
 
 def enumerate_normal_subgroups(
@@ -605,7 +694,10 @@ def enumerate_normal_subgroups(
 
     Every chief factor of a finite p-group is central of order p, so every
     normal M > 1 contains a normal N of index p, and M = N<x> for any x in
-    M outside N; x^p and every [x, g] then lie in N (``_central_steps``).
+    M outside N; x is then a candidate of N: x^p and every [x, g] lie in N.
+    N<x> = N u Nx u ... u Nx^(p-1), and every x' in N<x> outside N spawns
+    the same subgroup, so N<x> leaves N's candidates once built; x is
+    always the least element of N<x> outside N that is allowed.
 
     Reverse search over a fixed chief series 1 = C_0 < C_1 < ... < C_n = G
     (Avis and Fukuda 1996; induced pc sequences, Holt, Eick and O'Brien
@@ -622,37 +714,78 @@ def enumerate_normal_subgroups(
     because its elements leave the candidates.  A child reached twice is
     therefore an InvariantViolation.
 
+    Candidates are kept incrementally: each pending N carries a count per
+    element x of the d + 1 maps x -> x^p, x -> [x, g_k] that send x into N,
+    and the candidates are the x whose count is d + 1.  A child copies its
+    parent's counts and adds the inverse images (``_fibers``, built once per
+    enumeration) of its (p - 1)|N| new elements.  The walk is depth-first,
+    so only one count array per level of the search is alive.
+
     M's witnesses are its parent's plus the least element of M outside the
     parent.  The budget counts distinct normal subgroups.
     """
     hit = G.cache.get("normals")
     if hit is not None:
         return hit
-    full = (1 << G.order) - 1
+    T = _tables(G)
+    n = G.order
+    full = (1 << n) - 1
+    maps = [T.pth, *T.comm_maps]
+    xs, start = _fibers(maps, n)
+    # the only new elements that change a count are the images of the maps
+    images = _bits_of(G, set().union(*maps))
+    to_digits = bytes(49 if c == len(maps) else 48 for c in range(256))
+
+    def counts_with(counts: bytearray, new: int) -> bytearray:
+        for y in bits_iter(new & images):
+            for x in xs[start[y] : start[y + 1]]:
+                counts[x] += 1
+        return counts
+
+    def candidates(counts: bytearray) -> int:
+        return int(counts.translate(to_digits)[::-1], 2)
+
     triv = trivial_subgroup(G)
+    counts = counts_with(bytearray(n), 1)
+    triv_counts = counts
     chain = [1]
     while chain[-1] != full:
-        step = next(_central_steps(G, chain[-1], full ^ chain[-1]), None)
-        if step is None:
+        free = candidates(counts) & ~chain[-1]
+        if not free:
             raise InvariantViolation(f"chief series of {G.label} stalled below G")
-        chain.append(step[1])
+        x = (free & -free).bit_length() - 1
+        new = _coset_bits(G, T, list(bits_iter(chain[-1])), x)
+        counts = counts_with(bytearray(counts), new)
+        chain.append(chain[-1] | new)
     seen: Dict[int, Subgroup] = {triv.bits: triv}
-    queue = [(triv, 0)]
-    for N, level in queue:
-        for x, mbits in _central_steps(G, N.bits, full ^ chain[level]):
-            if mbits in seen:
-                raise InvariantViolation(
-                    f"normal subgroup of order {mbits.bit_count()} in {G.label} reached twice"
-                )
-            if len(seen) >= budget:
-                raise BudgetExceeded(f"more than {budget} normal subgroups in {G.label}")
-            M = Subgroup(G, mbits, N.witness_list() + [x], normal=True)
-            seen[mbits] = M
-            # x lies in C_level(M) and outside C_(level(M)-1)
-            child_level = level + 1
-            while not (chain[child_level] >> x) & 1:
-                child_level += 1
-            queue.append((M, child_level))
+    # frames [N, level(N), counts of N, candidates still to take, elements of N]
+    stack = [[triv, 0, triv_counts, candidates(triv_counts) & ~chain[0], None]]
+    while stack:
+        frame = stack[-1]
+        N, level, counts, free, elems = frame
+        if not free:
+            stack.pop()
+            continue
+        if elems is None:
+            frame[4] = elems = list(bits_iter(N.bits))
+        x = (free & -free).bit_length() - 1
+        new = _coset_bits(G, T, elems, x)
+        mbits = N.bits | new
+        frame[3] = free & ~mbits
+        if mbits in seen:
+            raise InvariantViolation(
+                f"normal subgroup of order {mbits.bit_count()} in {G.label} reached twice"
+            )
+        if len(seen) >= budget:
+            raise BudgetExceeded(f"more than {budget} normal subgroups in {G.label}")
+        M = Subgroup(G, mbits, N.witness_list() + [x], normal=True)
+        seen[mbits] = M
+        # x lies in C_level(M) and outside C_(level(M)-1)
+        child_level = level + 1
+        while not (chain[child_level] >> x) & 1:
+            child_level += 1
+        child = counts_with(bytearray(counts), new)
+        stack.append([M, child_level, child, candidates(child) & (full ^ chain[child_level]), None])
     result = sorted(seen.values(), key=lambda s: (s.order, s.bits))
     G.cache["normals"] = result
     return result

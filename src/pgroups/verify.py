@@ -342,10 +342,10 @@ def _suite_small_pwc(run: _Run, key: str, G: FiniteGroup) -> None:
             return True, "vacuous (trivial group)"
         for i in range(1, top + 1):
             N = _eta_term(report, i)
-            ng = eta_mod.commutator_with_group(G, N)
+            ng = sg.commutator_with_group(G, N)
             for k in (1, 2):
                 gpk = sg.power_subgroup(G, whole, k)
-                lhs = eta_mod.commutator_with_group(G, sg.power_subgroup(G, N, k))
+                lhs = sg.commutator_with_group(G, sg.power_subgroup(G, N, k))
                 rhs = sg.power_subgroup(G, ng, k)
                 if lhs.bits != rhs.bits:
                     return False, f"[N^(p^{k}),G] != [N,G]^(p^{k}) at N = eta_{i}"

@@ -9,8 +9,11 @@ algorithms, kept as references for orders where brute force is too slow:
 former enumerators, the second one with its witnesses), the
 quotient-group eta machinery (``quotient_upper_eta_series`` and
 ``quotient_is_eta_series``), which build G/N instead of reading G's lattice,
-``sweep_pc_group`` (the former pc consistency certificate) and ``pwh_bfs``
-(the former cross-check of greedy powerful height).
+``sweep_pc_group`` (the former pc consistency certificate), ``pwh_bfs``
+(the former cross-check of greedy powerful height) and the closure versions
+of [M, G], M^(p^i) and Omega_i(G) (``closure_commutator_with_group``,
+``closure_power_subgroup``, ``closure_omega_subgroup``), which the library
+now reads off G's lattice once it is cached.
 """
 
 from operator import itemgetter
@@ -18,7 +21,15 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from pgroups.eta_series import eta, is_powerfully_embedded, powerfully_embedded_over
 from pgroups.groups import FiniteGroup, PcPresentation, _PcBackend
-from pgroups.subgroups import Subgroup, quotient, trivial_subgroup
+from pgroups.subgroups import (
+    Subgroup,
+    closure,
+    commutator_subgroup,
+    power_image,
+    quotient,
+    trivial_subgroup,
+    whole_subgroup,
+)
 
 
 def mul_table(G: FiniteGroup) -> List[List[int]]:
@@ -327,3 +338,18 @@ def pwh_bfs(G: FiniteGroup, N: Subgroup) -> int:
                 nxt.append(M)
         frontier = nxt
     raise AssertionError(f"subgroup of order {N.order} in {G.label} has no eta-series")
+
+
+def closure_commutator_with_group(G: FiniteGroup, M: Subgroup) -> Subgroup:
+    """[M, G] as the normal closure of the witness-pair commutators."""
+    return commutator_subgroup(G, M, whole_subgroup(G))
+
+
+def closure_power_subgroup(G: FiniteGroup, M: Subgroup, i: int) -> Subgroup:
+    """M^(p^i) as the closure of the p^i-th powers of M's elements."""
+    return closure(G, sorted(power_image(G, M, i)))
+
+
+def closure_omega_subgroup(G: FiniteGroup, i: int) -> Subgroup:
+    """Omega_i(G) as the closure of the elements of order at most p^i."""
+    return closure(G, [x for x in G.elements() if G.order_exponent(x) <= i])

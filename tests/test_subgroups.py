@@ -11,6 +11,7 @@ from pgroups.subgroups import (
     closure,
     coclass,
     commutator_subgroup,
+    commutator_with_group,
     enumerate_normal_subgroups,
     frattini,
     is_maximal_class,
@@ -306,18 +307,74 @@ def test_enumerate_matches_central_extension_oracle(groups):
         assert got == oracles.central_extension_normal_subgroups(G), f"{name} {params}"
 
 
-def test_enumerate_matches_bfs_oracle_with_witnesses(groups):
+def _bfs_oracle_cases():
     from pgroups.catalog import suite_instances
 
-    cases = suite_instances(729) + [
+    return suite_instances(729) + [
         ("abelian", {"p": 3, "exps": (1, 1, 1, 1)}),
         ("unitriangular", {"n": 4, "p": 3, "m": 1}),
     ]
-    for name, params in cases:
+
+
+def test_enumerate_matches_bfs_oracle_with_witnesses(groups):
+    for name, params in _bfs_oracle_cases():
         G = groups(name, **params)
         got = [(N.bits, N.witness_list()) for N in enumerate_normal_subgroups(G)]
         want = [(N.bits, N.witness_list()) for N in oracles.bfs_normal_subgroups(G)]
         assert got == want, f"{name} {params}"
+
+
+def test_derived_subgroups_match_closure_oracles():
+    # fresh groups, so every derived subgroup below is a lookup in the lattice
+    for name, params in _bfs_oracle_cases():
+        G = cat.catalog_build(name, **params)
+        normals = enumerate_normal_subgroups(G)
+        for M in normals:
+            want = oracles.closure_commutator_with_group(G, M).bits
+            assert commutator_with_group(G, M).bits == want, f"{name} {params}"
+            for i in (1, 2):
+                want = oracles.closure_power_subgroup(G, M, i).bits
+                assert power_subgroup(G, M, i).bits == want, f"{name} {params} i={i}"
+        for i in (1, 2):
+            want = oracles.closure_omega_subgroup(G, i).bits
+            assert omega_subgroup(G, i).bits == want, f"{name} {params} i={i}"
+        whole = whole_subgroup(G)
+        gens = oracles.closure_power_subgroup(G, whole, 1).witness_list()
+        gens += oracles.closure_commutator_with_group(G, whole).witness_list()
+        assert frattini(G).bits == closure(G, gens).bits, f"{name} {params}"
+
+
+def test_groups_without_a_lattice_never_enumerate():
+    from pgroups.eta_series import is_powerful
+    from pgroups.fileformat import loads
+
+    G = cat.catalog_build("wreath", p=3)
+    Q, _ = quotient(G, center(G))
+    is_powerful(Q)
+    assert "normals" not in Q.cache
+    doc = (
+        '{"format": "pgroup-v1", "prime": 3, "kind": "pc", "ngens": 3, '
+        '"powers": {}, "conjugates": {"2,1": [[2, 1], [3, 1]]}}'
+    )
+    (H,) = loads(doc)
+    assert len(lower_central_series(H).terms) == 3
+    assert "normals" not in H.cache
+
+
+def test_enumeration_takes_no_full_gathers(monkeypatch):
+    import pgroups.subgroups as sg
+
+    calls = [0]
+    preimage = sg._preimage
+
+    def counting(*args):
+        calls[0] += 1
+        return preimage(*args)
+
+    monkeypatch.setattr(sg, "_preimage", counting)
+    G = cat.catalog_build("kirillov_quotient", p=3, e=2)
+    assert len(enumerate_normal_subgroups(G)) == 345
+    assert calls[0] == 0
 
 
 def _gathered(gather, n):
@@ -343,11 +400,12 @@ def test_lattice_tables_agree_with_backend_arithmetic(groups):
     for G in _table_cases(groups):
         T = GroupTables(G)
         n, gens = G.order, G.generators
-        assert len(T.right) == len(T.comm) == len(gens), G.label
-        assert _gathered(T.pth, n) == [G.pow(x, G.p) for x in range(n)], G.label
+        assert len(T.right) == len(T.comm) == len(T.comm_maps) == len(gens), G.label
+        assert T.pth == [G.pow(x, G.p) for x in range(n)], G.label
         for k, g in enumerate(gens):
             assert T.right[k] == [G.mul(x, g) for x in range(n)], G.label
-            assert _gathered(T.comm[k], n) == [G.comm(x, g) for x in range(n)], G.label
+            assert T.comm_maps[k] == [G.comm(x, g) for x in range(n)], G.label
+            assert _gathered(T.comm[k], n) == T.comm_maps[k], G.label
         for x in range(n):
             y = 0
             for k in T.word(x):

@@ -35,3 +35,19 @@ def test_only_verify_samples():
         if any(m.split(".")[0] == "random" for m in _imported_modules(node))
     ]
     assert found == []
+
+
+def test_analysis_modules_leave_closures_to_subgroups():
+    # subgroups decides between a lattice lookup and a closure, in one place
+    closures = {"closure", "normal_closure", "commutator_subgroup"}
+    found = []
+    for name in ("eta_series.py", "filtrations.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text(), name)):
+            if isinstance(node, ast.ImportFrom):
+                used = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                used = [node.attr]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {u}" for u in used if u in closures]
+    assert found == []
