@@ -13,7 +13,8 @@ a product of two normal subgroups, is again a member of G's normal lattice.
 So eta of every quotient G/N (pulled back to G), the upper eta-series,
 powerful height and the eta-series test are all filters over G's one cached
 lattice.  [M, G], M^p and the joins come from ``subgroups``, which reads
-them off that lattice as ``normal_hull`` lookups once it is cached.
+them off that lattice as ``normal_hull`` lookups; the first of them
+enumerates the lattice.  The powerfully-embedded test is the case N = 1.
 """
 
 from __future__ import annotations
@@ -45,14 +46,7 @@ def is_powerfully_embedded(G: FiniteGroup, N: Subgroup) -> bool:
     """[N, G] <= N^p (N must be normal)."""
     if not N.is_normal():
         raise NotNormal(f"powerfully-embedded test needs a normal subgroup in {G.label}")
-    key = ("pwe", N.bits)
-    hit = G.cache.get(key)
-    if hit is None:
-        pw = power_subgroup(G, N, 1).bits
-        cm = commutator_with_group(G, N).bits
-        hit = cm | pw == pw
-        G.cache[key] = hit
-    return hit
+    return _pe_over(G, N, trivial_subgroup(G))
 
 
 def is_powerful(G: FiniteGroup) -> bool:
@@ -61,12 +55,13 @@ def is_powerful(G: FiniteGroup) -> bool:
 
 def _pe_over(G: FiniteGroup, M: Subgroup, N: Subgroup) -> bool:
     """M/N is powerfully embedded in G/N, i.e. [M, G] <= M^p N (N <= M normal)."""
-    if N.is_trivial():
-        return is_powerfully_embedded(G, M)
     mp = power_subgroup(G, M, 1)
-    # M^p N is the normal subgroup of order |M^p| |N| / |M^p n N|
-    order = mp.order * N.order // (mp.bits & N.bits).bit_count()
-    mpn = normal_hull(G, mp.bits | N.bits, order).bits
+    if N.is_trivial():
+        mpn = mp.bits
+    else:
+        # M^p N is the normal subgroup of order |M^p| |N| / |M^p n N|
+        order = mp.order * N.order // (mp.bits & N.bits).bit_count()
+        mpn = normal_hull(G, mp.bits | N.bits, order).bits
     return commutator_with_group(G, M).bits | mpn == mpn
 
 

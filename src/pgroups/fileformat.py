@@ -148,9 +148,10 @@ def _load_semidirect(doc: dict, prime: int) -> FiniteGroup:
 
 def _load_catalog(doc: dict, prime: int) -> List[FiniteGroup]:
     name = _require(doc, "name", str, "catalog")
-    params = dict(doc.get("params") or {})
+    params = doc.get("params", {})
     if not isinstance(params, dict):
         raise FormatError("catalog: params must be an object")
+    params = dict(params)
     if "p" in params and params["p"] != prime:
         raise FormatError("catalog: params.p contradicts the document prime")
     params.setdefault("p", prime)

@@ -131,6 +131,11 @@ class FiniteGroup:
         return self.pth_map()[x]
 
     def _build_power_tables(self) -> None:
+        """The p-th power map and the order exponents, from p - 1 products per element.
+
+        Each element's chain x, x^p, x^(p^2), ... must reach the identity;
+        a chain that cycles without it raises InconsistentPresentation.
+        """
         mul, p = self.mul, self.p
         pth = []
         for x in self.elements():
@@ -145,6 +150,12 @@ class FiniteGroup:
             chain = []
             y = x
             while ordexp[y] < 0:
+                if ordexp[y] == -2:
+                    raise InconsistentPresentation(
+                        f"element {x} has non-p-power order (power cycle misses identity)"
+                    )
+                # -2: on the chain being walked
+                ordexp[y] = -2
                 chain.append(y)
                 y = pth[y]
             k = ordexp[y]
@@ -420,22 +431,8 @@ def _check_pc_consistency(G: FiniteGroup, back: _PcBackend) -> None:
                 )
     # Order check: every element must reach the identity along p-th powers,
     # which also certifies invertibility (hence |G| = p^n distinct elements).
-    n = G.order
-    reach = [-1] * n
-    reach[0] = 0
-    for x in range(n):
-        chain = []
-        y = x
-        while reach[y] < 0:
-            chain.append(y)
-            reach[y] = -2
-            y = G.pow(y, p)
-            if reach[y] == -2:
-                raise InconsistentPresentation(
-                    f"element {x} has non-p-power order (power cycle misses identity)"
-                )
-        for z in chain:
-            reach[z] = 1
+    # The power tables raise when a chain misses it.
+    G.pth_map()
 
 
 # -- direct products of cyclic groups --------------------------------------

@@ -3,10 +3,11 @@
 A subgroup is identified by the bitset of its element indices (an int), so
 set algebra is big-integer arithmetic and deduplication is hashing.  All
 operations are pure functions of immutable inputs; results and expensive
-intermediates are memoized on the owning group's cache.  Once G's normal
-lattice is cached, [N, G], powers, Omega_i, Phi and joins of normal
-subgroups are lookups in it (``normal_hull``); before that they are
-closures.
+intermediates are memoized on the owning group's cache.  [N, G], powers
+and joins of normal subgroups, Omega_i and Phi are lookups in G's normal
+lattice (``normal_hull``), which is enumerated on first use.  Closures
+remain for subgroups that need not be normal and for the lower central
+series.
 """
 
 from __future__ import annotations
@@ -146,9 +147,14 @@ def _orbit_extend(
                 queue.append(y)
 
 
-def _close(G: FiniteGroup, flags: bytearray, members: List[int], gens: Iterable[int]) -> List[int]:
-    """Extend the subgroup (flags, members) by each of gens in turn; return the gens used."""
-    witnesses: List[int] = []
+def _close(
+    G: FiniteGroup, flags: bytearray, members: List[int], witnesses: List[int], gens: Iterable[int]
+) -> List[int]:
+    """Extend the subgroup (flags, members) by each of gens in turn, in place.
+
+    witnesses generate the subgroup; each gen used is appended to them.
+    Returns witnesses.
+    """
     for x in gens:
         if flags[x]:
             continue
@@ -162,39 +168,29 @@ def _close(G: FiniteGroup, flags: bytearray, members: List[int], gens: Iterable[
 def closure(G: FiniteGroup, gens: Iterable[int], normal: Optional[bool] = None) -> Subgroup:
     """Smallest subgroup containing gens (worklist closure)."""
     flags = _flags(G, 1)
-    witnesses = _close(G, flags, [0], gens)
-    return Subgroup(G, _from_flags(flags), witnesses, normal=normal)
-
-
-def _extend_subgroup(G: FiniteGroup, H: Subgroup, x: int, normal: Optional[bool]) -> Subgroup:
-    """Closure of H together with one extra element."""
-    flags = _flags(G, H.bits)
-    flags[x] = 1
-    members = list(H.elements()) + [x]
-    witnesses = H.witness_list() + [x]
-    _orbit_extend(G, flags, members, witnesses, members[:])
+    witnesses = _close(G, flags, [0], [], gens)
     return Subgroup(G, _from_flags(flags), witnesses, normal=normal)
 
 
 def _reduce_witnesses(G: FiniteGroup, bits: int) -> List[int]:
-    return _close(G, _flags(G, 1), [0], bits_iter(bits))
+    return _close(G, _flags(G, 1), [0], [], bits_iter(bits))
 
 
 def normal_closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     """Smallest normal subgroup containing gens."""
-    H = closure(G, gens, normal=True)
+    flags = _flags(G, 1)
+    members = [0]
+    witnesses = _close(G, flags, members, [], gens)
     while True:
         extra = [
             c
-            for w in H.witness_list()
+            for w in witnesses
             for g in G.generators
-            if not (H.bits >> (c := G.conj(w, g))) & 1
+            if not flags[c := G.conj(w, g)]
         ]
         if not extra:
-            return H
-        for c in extra:
-            if c not in H:
-                H = _extend_subgroup(G, H, c, normal=True)
+            return Subgroup(G, _from_flags(flags), witnesses, normal=True)
+        _close(G, flags, members, witnesses, extra)
 
 
 def commutator_subgroup(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
@@ -222,20 +218,15 @@ def power_image(G: FiniteGroup, N: Subgroup, i: int) -> set:
     return set(image)
 
 
-# -- derived subgroups: lattice lookups once G's lattice is cached --------------
+# -- derived subgroups: lookups in G's normal lattice ---------------------------
 #
 # Each derived subgroup below is normal and is the smallest normal subgroup
 # containing a set of elements read off the tables: [N, G] is generated as a
 # normal subgroup by the [x, g_k] with x in N (modulo that hull every x in N
 # commutes with every generator); M^(p^i) of a normal M is generated by the
 # p^i-th powers, a G-invariant set; Omega_i(G) by the elements of order at
-# most p^i.  So once G's lattice is cached each one is ``normal_hull`` of
-# that set.  A group whose lattice is not cached gets the closure instead and
-# never starts an enumeration: a lattice costs far more than one closure.
-
-
-def _lattice_cached(G: FiniteGroup) -> bool:
-    return G.cache.get("normals") is not None
+# most p^i.  So each one is ``normal_hull`` of that set, and the first of
+# them asked of G enumerates G's lattice, within the default budget.
 
 
 def _bits_of(G: FiniteGroup, elems: Iterable[int]) -> int:
@@ -251,8 +242,8 @@ def normal_hull(G: FiniteGroup, bits: int, order: int = 0) -> Subgroup:
 
     G's lattice is sorted by order, so this is its first member containing
     bits.  The scan starts at ``order``, a known lower bound on the answer's
-    order (``bits.bit_count()`` is always one).  Enumerates the lattice,
-    within the default budget, when it is not cached yet.
+    order (``bits.bit_count()`` is always one).  The first lookup in G
+    enumerates its lattice, within the default budget.
     """
     normals = enumerate_normal_subgroups(G)
     start = bisect_left(normals, max(order, bits.bit_count()), key=lambda H: H.order)
@@ -263,19 +254,16 @@ def normal_hull(G: FiniteGroup, bits: int, order: int = 0) -> Subgroup:
 
 
 def commutator_with_group(G: FiniteGroup, N: Subgroup) -> Subgroup:
-    """[N, G], memoized per subgroup."""
+    """[N, G], memoized per subgroup; enumerates G's lattice on first use."""
     key = ("ngcomm", N.bits)
     hit = G.cache.get(key)
     if hit is None:
-        if _lattice_cached(G):
-            # witnesses generate N, so their [w, g_k] have the same hull
-            gens = N._witnesses if N._witnesses is not None else list(N.elements())
-            image = set()
-            for f in _tables(G).comm_maps:
-                image.update(map(f.__getitem__, gens))
-            hit = normal_hull(G, _bits_of(G, image))
-        else:
-            hit = commutator_subgroup(G, N, whole_subgroup(G))
+        # witnesses generate N, so their [w, g_k] have the same hull
+        gens = N._witnesses if N._witnesses is not None else list(N.elements())
+        image = set()
+        for f in _tables(G).comm_maps:
+            image.update(map(f.__getitem__, gens))
+        hit = normal_hull(G, _bits_of(G, image))
         G.cache[key] = hit
     return hit
 
@@ -291,31 +279,34 @@ def iterated_commutator(G: FiniteGroup, N: Subgroup, k: int) -> Subgroup:
 
 
 def power_subgroup(G: FiniteGroup, N: Subgroup, i: int) -> Subgroup:
-    """Subgroup generated by the p^i-th powers of all elements of N."""
+    """Subgroup generated by the p^i-th powers of all elements of N.
+
+    For normal N this is a lookup in G's lattice, enumerated on first use;
+    otherwise a closure.
+    """
     if i == 0:
         return N
     key = ("npow", N.bits, i)
     hit = G.cache.get(key)
     if hit is None:
-        normal = N.is_normal()
-        if normal and _lattice_cached(G):
+        if N.is_normal():
             hit = normal_hull(G, _bits_of(G, power_image(G, N, i)))
         else:
-            hit = closure(G, sorted(power_image(G, N, i)), normal=True if normal else None)
+            hit = closure(G, sorted(power_image(G, N, i)))
         G.cache[key] = hit
     return hit
 
 
 def omega_subgroup(G: FiniteGroup, i: int) -> Subgroup:
-    """Subgroup generated by all elements of order dividing p^i."""
+    """Subgroup generated by all elements of order dividing p^i.
+
+    A lookup in G's lattice, enumerated on first use.
+    """
     key = ("omega", i)
     hit = G.cache.get(key)
     if hit is None:
         gens = [x for x in G.elements() if G.order_exponent(x) <= i]
-        if _lattice_cached(G):
-            hit = normal_hull(G, _bits_of(G, gens))
-        else:
-            hit = closure(G, gens, normal=True)
+        hit = normal_hull(G, _bits_of(G, gens))
         G.cache[key] = hit
     return hit
 
@@ -471,13 +462,13 @@ def lower_central_term(G: FiniteGroup, i: int) -> Subgroup:
 def join(G: FiniteGroup, subs: Sequence[Subgroup]) -> Subgroup:
     """Smallest subgroup containing every member of subs.
 
-    The join of normal subgroups is normal, so once G's lattice is cached it
-    is the normal hull of their union.
+    The join of normal subgroups is normal, so it is the normal hull of
+    their union, a lookup in G's lattice (enumerated on first use);
+    otherwise it is a closure.
     """
     if not subs:
         return trivial_subgroup(G)
-    normal = all(H.is_normal() for H in subs)
-    if normal and _lattice_cached(G):
+    if all(H.is_normal() for H in subs):
         bits = 0
         for H in subs:
             bits |= H.bits
@@ -485,7 +476,7 @@ def join(G: FiniteGroup, subs: Sequence[Subgroup]) -> Subgroup:
     gens: List[int] = []
     for H in subs:
         gens.extend(H.witness_list())
-    return closure(G, gens, normal=True if normal else None)
+    return closure(G, gens)
 
 
 def frattini(G: FiniteGroup) -> Subgroup:

@@ -169,6 +169,13 @@ def test_cli_analyze_malformed_file(tmp_path, capsys):
     strparam.write_text(json.dumps({"format": "pgroup-v1", "prime": 3, "kind": "catalog",
                                     "name": "mainline_coclass1", "params": {"k": "3"}}))
     assert main(["analyze", str(strparam)]) == 2
+    for params in ["xy", ["pk"]]:
+        notdict = tmp_path / "notdict.json"
+        notdict.write_text(json.dumps({"format": "pgroup-v1", "prime": 3, "kind": "catalog",
+                                       "name": "heisenberg", "params": params}))
+        capsys.readouterr()
+        assert main(["analyze", str(notdict)]) == 2
+        assert "params must be an object" in capsys.readouterr().err
     zero_exp = tmp_path / "zero_exp.json"
     zero_exp.write_text(json.dumps({"format": "pgroup-v1", "prime": 3, "kind": "abelian",
                                     "exps": [0]}))

@@ -436,6 +436,14 @@ def test_element_orders_are_p_powers(groups):
     assert G.element_order(0) == 1
 
 
+def test_power_cycle_missing_the_identity_is_rejected():
+    # cubing sends 1 -> 2 -> 1; no consistent presentation reaches this check
+    table = [[0, 1, 2], [1, 2, 1], [2, 2, 1]]
+    G = FiniteGroup(3, 3, lambda a, b: table[a][b], [1])
+    with pytest.raises(InconsistentPresentation, match="power cycle"):
+        G.exponent()
+
+
 # -- quotients ---------------------------------------------------------------------
 
 

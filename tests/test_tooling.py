@@ -38,7 +38,8 @@ def test_only_verify_samples():
 
 
 def test_analysis_modules_leave_closures_to_subgroups():
-    # subgroups decides between a lattice lookup and a closure, in one place
+    # derived subgroups are lattice lookups in subgroups; the analysis
+    # modules build no closure of their own
     closures = {"closure", "normal_closure", "commutator_subgroup"}
     found = []
     for name in ("eta_series.py", "filtrations.py"):
@@ -51,3 +52,22 @@ def test_analysis_modules_leave_closures_to_subgroups():
                 continue
             found += [f"{name}:{node.lineno} {u}" for u in used if u in closures]
     assert found == []
+
+
+def test_only_the_enumerator_touches_the_lattice_cache():
+    # a derived subgroup that asked whether the lattice is cached would be
+    # computed two ways, depending on call order
+    tree = ast.parse((SRC / "subgroups.py").read_text(), "subgroups.py")
+    (enum,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "enumerate_normal_subgroups"
+    ]
+    inside = {id(node) for node in ast.walk(enum)}
+    uses = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value == "normals"
+    ]
+    assert uses
+    assert [node.lineno for node in uses if id(node) not in inside] == []
