@@ -131,37 +131,52 @@ class FiniteGroup:
         return self.pth_map()[x]
 
     def _build_power_tables(self) -> None:
-        """The p-th power map and the order exponents, from p - 1 products per element.
+        """The p-th power map and the order exponents, from one walk per cyclic subgroup.
 
-        Each element's chain x, x^p, x^(p^2), ... must reach the identity;
-        a chain that cycles without it raises InconsistentPresentation.
+        From each x no earlier walk reached, walk x, x^2, ..., x^m = 1.  With
+        m = p^k, x^i has p-th power x^(ip mod m) and order exponent
+        k - v_p(i).  The walk takes m - 1 products and reaches every
+        generator of <x>, none of which an earlier walk reached (it would
+        have reached x too): at least phi(m) = m (p - 1) / p new elements.
+        So the whole map takes fewer than p (|G| - 1) / (p - 1) products.
+        A walk that passes |G| steps without the identity, or ends at an
+        order that is not a power of p, raises InconsistentPresentation.
         """
-        mul, p = self.mul, self.p
-        pth = []
-        for x in self.elements():
-            y = x
-            for _ in range(p - 1):
-                y = mul(y, x)
-            pth.append(y)
-        self._pth = pth
-        ordexp = [-1] * self.order
+        mul, p, n = self.mul, self.p, self.order
+        pth = [0] * n
+        ordexp = [-1] * n
         ordexp[0] = 0
-        for x in self.elements():
-            chain = []
-            y = x
-            while ordexp[y] < 0:
-                if ordexp[y] == -2:
+        for x in range(1, n):
+            if ordexp[x] >= 0:
+                continue
+            # walk[i] = x^i for 0 <= i < m
+            walk = [0, x]
+            y = mul(x, x)
+            while y:
+                if len(walk) >= n:
                     raise InconsistentPresentation(
                         f"element {x} has non-p-power order (power cycle misses identity)"
                     )
-                # -2: on the chain being walked
-                ordexp[y] = -2
-                chain.append(y)
-                y = pth[y]
-            k = ordexp[y]
-            for z in reversed(chain):
+                walk.append(y)
+                y = mul(y, x)
+            m = len(walk)
+            k, q = 0, 1
+            while q < m:
+                q *= p
                 k += 1
-                ordexp[z] = k
+            if q != m:
+                raise InconsistentPresentation(
+                    f"power cycle of element {x} has length {m}, not a power of {p}"
+                )
+            for z, zp in zip(walk, walk[::p] * p):
+                pth[z] = zp
+            step = 1
+            while step < m:
+                for z in walk[step::step]:
+                    ordexp[z] = k
+                step *= p
+                k -= 1
+        self._pth = pth
         self._ordexp = ordexp
 
     def order_exponent(self, x: int) -> int:
@@ -429,9 +444,10 @@ def _check_pc_consistency(G: FiniteGroup, back: _PcBackend) -> None:
                     f"({sk} {sj}) {si}", mul(mul(gk, gj), gi),
                     f"{sk} ({sj} {si})", mul(gk, gjgi),
                 )
-    # Order check: every element must reach the identity along p-th powers,
-    # which also certifies invertibility (hence |G| = p^n distinct elements).
-    # The power tables raise when a chain misses it.
+    # Order check: every element's powers x, x^2, ... must reach the identity
+    # at a power of p, which also certifies invertibility (hence |G| = p^n
+    # distinct elements).  The cyclic walks of the power tables raise when one
+    # misses it.
     G.pth_map()
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -314,10 +314,17 @@ def omega_subgroup(G: FiniteGroup, i: int) -> Subgroup:
 class GroupTables:
     """Lookup tables for G's normal lattice, built once per group (``G.cache["tables"]``).
 
-    - ``right[k][x] = x g_k`` for each generator g_k: the only d |G| products;
+    - ``gens``, an irredundant generating subsequence of ``G.generators``:
+      the greedy pass keeps each listed generator that the kept ones do not
+      reach, then each kept one that the others reach G without is dropped
+      (a search over ``right``, no products).  No proper subset of ``gens``
+      generates G, so by the Burnside basis theorem it has d(G) elements;
+    - ``right[k][x] = x g_k`` for each g_k in ``gens``: the greedy pass takes
+      each (x, kept g) product once, so these are the only d(G) |G|
+      products unless the prune drops a generator;
     - a breadth-first word tree: ``x = parent[x] g_(gen[x])``, so ``word(x)``
-      spells x in the generators and multiplying a whole list by x is a
-      gather along that word;
+      spells x in ``gens`` and multiplying a whole list by x is a gather
+      along that word;
     - ``pth``, the map x -> x^p: G's own list (``FiniteGroup.pth_map``);
     - ``comm_maps[k]``, the map x -> [x, g_k] as a list, and ``comm[k]``, its
       gather (an itemgetter over the same int objects).  Along the tree,
@@ -330,29 +337,46 @@ class GroupTables:
     Raises InvariantViolation when the generators do not reach every element.
     """
 
-    __slots__ = ("right", "parent", "gen", "pth", "comm_maps", "comm")
+    __slots__ = ("gens", "right", "parent", "gen", "pth", "comm_maps", "comm")
 
     def __init__(self, G: FiniteGroup) -> None:
         n, mul = G.order, G.mul
         # one int object per element, shared by every table below
         ints = list(range(n))
-        right = [[ints[mul(x, g)] for x in ints] for g in G.generators]
-        parent = [0] * n
-        gen = [0] * n
-        tree = [0]
+        # greedy pass: keep each listed generator the kept ones do not reach,
+        # and close over it, taking each (x, kept g) product once
+        gens: List[int] = []
+        right: List[List[int]] = []
+        reached = [0]
         seen = _flags(G, 1)
-        for x in tree:
-            for k, r in enumerate(right):
-                y = r[x]
+        for g in G.generators:
+            if seen[g]:
+                continue
+            rg = [0] * n
+            gens.append(g)
+            right.append(rg)
+            old = len(reached)
+            for x in reached[:old]:
+                rg[x] = y = ints[mul(x, g)]
                 if not seen[y]:
                     seen[y] = 1
-                    parent[y] = x
-                    gen[y] = k
-                    tree.append(y)
-        if len(tree) != n:
+                    reached.append(y)
+            # the list iterator also yields the elements appended meanwhile
+            for x in islice(reached, old, None):
+                for h, r in zip(gens, right):
+                    r[x] = y = ints[mul(x, h)]
+                    if not seen[y]:
+                        seen[y] = 1
+                        reached.append(y)
+        if len(reached) != n:
             raise InvariantViolation(
-                f"the generators of {G.label} reach {len(tree)} of its {n} elements"
+                f"the generators of {G.label} reach {len(reached)} of its {n} elements"
             )
+        # prune: drop each kept generator the others still reach G without
+        for k in reversed(range(len(gens))):
+            if len(_reach(right[:k] + right[k + 1 :], n)[0]) == n:
+                del gens[k], right[k]
+        tree, parent, gen = _reach(right, n)
         del tree[0]
 
         def walk(start: int, tabs: Sequence[List[int]]) -> List[int]:
@@ -366,6 +390,7 @@ class GroupTables:
         inverses = [r.index(0) for r in right]
         # z -> h^-1 z h
         conj = [[r[z] for z in walk(hinv, right)] for r, hinv in zip(right, inverses)]
+        self.gens = gens
         self.right = right
         self.parent = parent
         self.gen = gen
@@ -374,7 +399,7 @@ class GroupTables:
         self.comm = [itemgetter(*f) for f in self.comm_maps]
 
     def word(self, x: int) -> List[int]:
-        """Generator indices k_1, ..., k_m with x = g_(k_1) ... g_(k_m)."""
+        """Indices k_1, ..., k_m into ``gens`` with x = g_(k_1) ... g_(k_m)."""
         out = []
         while x:
             out.append(self.gen[x])
@@ -387,6 +412,27 @@ class GroupTables:
         for k in self.word(x):
             elems = list(map(self.right[k].__getitem__, elems))
         return elems
+
+
+def _reach(right: Sequence[List[int]], n: int) -> Tuple[List[int], List[int], List[int]]:
+    """The elements reached from the identity through the tables right, breadth first.
+
+    Returns them in that order with the word tree: x = parent[x] g_(gen[x]).
+    """
+    tree = [0]
+    parent = [0] * n
+    gen = [0] * n
+    seen = bytearray(n)
+    seen[0] = 1
+    for x in tree:
+        for k, r in enumerate(right):
+            y = r[x]
+            if not seen[y]:
+                seen[y] = 1
+                parent[y] = x
+                gen[y] = k
+                tree.append(y)
+    return tree, parent, gen
 
 
 def _tables(G: FiniteGroup) -> GroupTables:
@@ -706,8 +752,9 @@ def enumerate_normal_subgroups(
     therefore an InvariantViolation.
 
     Candidates are kept incrementally: each pending N carries a count per
-    element x of the d + 1 maps x -> x^p, x -> [x, g_k] that send x into N,
-    and the candidates are the x whose count is d + 1.  A child copies its
+    element x of the d(G) + 1 maps x -> x^p, x -> [x, g_k] (g_k in the
+    tables' irredundant ``gens``) that send x into N, and the candidates are
+    the x whose count is d(G) + 1.  A child copies its
     parent's counts and adds the inverse images (``_fibers``, built once per
     enumeration) of its (p - 1)|N| new elements.  The walk is depth-first,
     so only one count array per level of the search is alive.

@@ -436,6 +436,40 @@ def test_element_orders_are_p_powers(groups):
     assert G.element_order(0) == 1
 
 
+def test_power_walk_matches_backend(groups):
+    H = groups("heisenberg", p=7)
+    cases = [
+        H,  # pc
+        build_abelian(5, [2, 1]),
+        groups("unitriangular", n=3, p=3, m=1),
+        groups("kirillov_quotient", p=3, e=1),  # semidirect
+        quotient(H, center(H))[0],
+    ]
+    for G in cases:
+        p, n = G.p, G.order
+        calls = [0]
+
+        def counting(a, b, mul=G.mul):
+            calls[0] += 1
+            return mul(a, b)
+
+        # a fresh group on the same arithmetic, so no power table is cached
+        F = FiniteGroup(p, n, counting, G.generators, label=G.label)
+        F.pth_map()
+        assert calls[0] < p * (n - 1) // (p - 1), G.label
+        assert F.pth_map() == [G.pow(x, p) for x in range(n)], G.label
+        for x in range(n):
+            y, m = x, 1
+            while y:
+                y = G.mul(y, x)
+                m += 1
+            assert F.element_order(x) == m, G.label
+    # an element of order 2 in a "3-group"
+    C2 = FiniteGroup(3, 2, lambda a, b: a ^ b, [1])
+    with pytest.raises(InconsistentPresentation, match="not a power of 3"):
+        C2.pth_map()
+
+
 def test_power_cycle_missing_the_identity_is_rejected():
     # cubing sends 1 -> 2 -> 1; no consistent presentation reaches this check
     table = [[0, 1, 2], [1, 2, 1], [2, 2, 1]]

@@ -396,25 +396,65 @@ def _table_cases(groups):
         quotient(H, center(H))[0],
         quotient(H, whole_subgroup(H))[0],  # order 1, no generators
         build_abelian(3, [2]),  # cyclic: one generator, cosets of |N| = 1
+        groups("mainline_coclass1", p=3, k=3),  # lists more generators than d(G)
     ]
+
+
+def _counted(G, fn):
+    """fn() and the number of G.mul calls it makes."""
+    calls = [0]
+    mul = G.mul
+
+    def counting(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    G.mul = counting
+    try:
+        return fn(), calls[0]
+    finally:
+        G.mul = mul
+
+
+def _is_subsequence(short, long):
+    it = iter(long)
+    return all(x in it for x in short)
+
+
+def _check_tables(G, T):
+    n, gens = G.order, T.gens
+    assert _is_subsequence(gens, G.generators), G.label
+    assert len(gens) == minimal_generator_count(G), G.label
+    assert len(T.right) == len(T.comm) == len(T.comm_maps) == len(gens), G.label
+    assert T.pth == [G.pow(x, G.p) for x in range(n)], G.label
+    for k, g in enumerate(gens):
+        assert T.right[k] == [G.mul(x, g) for x in range(n)], G.label
+        assert T.comm_maps[k] == [G.comm(x, g) for x in range(n)], G.label
+        assert _gathered(T.comm[k], n) == T.comm_maps[k], G.label
+    for x in range(n):
+        y = 0
+        for k in T.word(x):
+            y = G.mul(y, gens[k])
+        assert y == x, G.label
+        assert T.right_mul([0, x], x) == [x, G.mul(x, x)], G.label
 
 
 def test_lattice_tables_agree_with_backend_arithmetic(groups):
     for G in _table_cases(groups):
-        T = GroupTables(G)
-        n, gens = G.order, G.generators
-        assert len(T.right) == len(T.comm) == len(T.comm_maps) == len(gens), G.label
-        assert T.pth == [G.pow(x, G.p) for x in range(n)], G.label
-        for k, g in enumerate(gens):
-            assert T.right[k] == [G.mul(x, g) for x in range(n)], G.label
-            assert T.comm_maps[k] == [G.comm(x, g) for x in range(n)], G.label
-            assert _gathered(T.comm[k], n) == T.comm_maps[k], G.label
-        for x in range(n):
-            y = 0
-            for k in T.word(x):
-                y = G.mul(y, gens[k])
-            assert y == x, G.label
-            assert T.right_mul([0, x], x) == [x, G.mul(x, x)], G.label
+        G.pth_map()
+        T, products = _counted(G, lambda: GroupTables(G))
+        _check_tables(G, T)
+        # only right is multiplied out, once per (element, kept generator)
+        assert products == len(T.gens) * G.order, G.label
+    # centre first: the greedy pass keeps z, x and y, and the prune drops z
+    H = groups("heisenberg", p=3)
+    x, y, z = H.generators
+    G = FiniteGroup(3, H.order, H.mul, [z, x, y], label="heisenberg on (z, x, y)")
+    G.pth_map()
+    T, products = _counted(G, lambda: GroupTables(G))
+    assert T.gens == [x, y]
+    assert products == 3 * G.order
+    _check_tables(G, T)
 
 
 def test_lattice_tables_edge_groups(groups):
@@ -438,26 +478,21 @@ def test_lattice_tables_edge_groups(groups):
 @pytest.mark.parametrize(
     "name, params, bound",
     [
-        ("kirillov_quotient", {"p": 3, "e": 2}, 45_927),
-        ("abelian", {"p": 3, "exps": (1, 1, 1, 1, 1)}, 1_944),
-        ("unitriangular", {"n": 3, "p": 3, "m": 2}, 3_645),
+        ("kirillov_quotient", {"p": 3, "e": 2}, 29_523),
+        ("abelian", {"p": 3, "exps": (1, 1, 1, 1, 1)}, 1_578),
+        ("unitriangular", {"n": 3, "p": 3, "m": 2}, 2_550),
+        ("potent_nopwc", {"p": 5, "n": 1}, 10_155),
     ],
 )
 def test_enumeration_products_are_bounded(name, params, bound):
-    # the tables take d |G| products and the p-th powers (p - 1) |G|; cosets
-    # and the candidate test are gathers, so a product per coset element fails
+    # the tables take d(G) |G| products and the p-th powers, one walk per
+    # cyclic subgroup, fewer than p (|G| - 1) / (p - 1); cosets and the
+    # candidate test are gathers, so a product per coset element fails
     G = cat.catalog_build(name, **params)
-    assert bound == (len(G.generators) + G.p) * G.order
-    calls = [0]
-    mul = G.mul
-
-    def counting(a, b):
-        calls[0] += 1
-        return mul(a, b)
-
-    G.mul = counting
-    enumerate_normal_subgroups(G)
-    assert calls[0] <= bound
+    _, products = _counted(G, lambda: enumerate_normal_subgroups(G))
+    p, n = G.p, G.order
+    assert bound == minimal_generator_count(G) * n + p * (n - 1) // (p - 1)
+    assert products <= bound
 
 
 def test_enumerate_respects_budget(groups):

@@ -1,6 +1,9 @@
 import ast
 from pathlib import Path
 
+from pgroups import catalog as cat
+from pgroups.report import analyze_group
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "pgroups"
 
 
@@ -71,3 +74,21 @@ def test_only_the_enumerator_touches_the_lattice_cache():
     ]
     assert uses
     assert [node.lineno for node in uses if id(node) not in inside] == []
+
+
+def test_default_suite_backend_products_are_bounded():
+    # the product count is deterministic, so it pins the cost of analyze
+    # without timing anything: the power walks and the tables over an
+    # irredundant generating set take 55,631 products on the 18 groups
+    calls = [0]
+    for name, params in cat.DEFAULT_SUITE:
+        G = cat.catalog_build(name, **params)
+        mul = G.mul
+
+        def counting(a, b, mul=mul):
+            calls[0] += 1
+            return mul(a, b)
+
+        G.mul = counting
+        analyze_group(G)
+    assert calls[0] <= 60_000
