@@ -26,7 +26,7 @@ from .errors import (
     UnknownName,
 )
 from .fileformat import canonical_json, catalog_document, load_path
-from .groups import FiniteGroup
+from .groups import FiniteGroup, log_p
 
 _INPUT_ERRORS = (
     FormatError,
@@ -38,22 +38,16 @@ _INPUT_ERRORS = (
 )
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
+def _json_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
+
+
+def _budget_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--budget",
         type=int,
         default=sg.NORMAL_SUBGROUP_BUDGET,
-        help="normal-subgroup enumeration cap",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=2024, help="seed for randomized property checks"
-    )
-    parser.add_argument(
-        "--max-order",
-        type=int,
-        default=None,
-        help="largest group order the verify suites touch (default 729)",
+        help="cap on the normal subgroups of each input group (exit 3 beyond it)",
     )
 
 
@@ -116,7 +110,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
     out = []
     for G in groups:
         if args.type == "eta":
-            terms = eta_mod.upper_eta_series(G, args.budget).series.terms
+            sg.enumerate_normal_subgroups(G, args.budget)
+            terms = eta_mod.upper_eta_series(G).series.terms
         elif args.type == "upper-central":
             terms = sg.upper_central_series(G).terms
         else:
@@ -127,7 +122,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
                 "type": args.type,
                 "terms": [
                     {
-                        "order": report_mod._p_exp(G.p, t.order),
+                        "order": [G.p, log_p(G.p, t.order)],
                         "witnesses": t.witness_list(),
                     }
                     for t in terms
@@ -213,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=report_mod.ANALYSIS_SECTIONS,
         help="omit an expensive report section",
     )
-    _common_flags(p_analyze)
+    _json_flag(p_analyze)
+    _budget_flag(p_analyze)
     p_analyze.set_defaults(fn=_cmd_analyze)
 
     p_verify = sub.add_parser("verify", help="run a property suite over the catalog")
@@ -223,7 +219,17 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="include the largest bundled instances (orders 3^7, 5^5, 3^8)",
     )
-    _common_flags(p_verify)
+    p_verify.add_argument(
+        "--seed", type=int, default=2024, help="seed for randomized property checks"
+    )
+    p_verify.add_argument(
+        "--max-order",
+        type=int,
+        default=None,
+        help="largest group order the verify suites touch (default 729)",
+    )
+    _json_flag(p_verify)
+    _budget_flag(p_verify)
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_series = sub.add_parser("series", help="print a subgroup series")
@@ -233,20 +239,20 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("eta", "upper-central", "lower-central"),
         default="eta",
     )
-    _common_flags(p_series)
+    _json_flag(p_series)
+    _budget_flag(p_series)
     p_series.set_defaults(fn=_cmd_series)
 
     p_cat = sub.add_parser("catalog", help="list entries or emit a definition file")
     cat_sub = p_cat.add_subparsers(dest="action", required=True)
     p_list = cat_sub.add_parser("list")
-    _common_flags(p_list)
+    _json_flag(p_list)
     p_list.set_defaults(fn=_cmd_catalog, action="list")
     p_get = cat_sub.add_parser("get")
     p_get.add_argument("name")
     p_get.add_argument("--prime", type=int)
     p_get.add_argument("--param", action="append", default=[], metavar="K=V")
     p_get.add_argument("-o", "--output", help="write the document to a file")
-    _common_flags(p_get)
     p_get.set_defaults(fn=_cmd_catalog, action="get")
 
     return parser

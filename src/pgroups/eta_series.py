@@ -25,7 +25,6 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import InvariantViolation, NoValidS, NotNormal
 from .groups import FiniteGroup
 from .subgroups import (
-    NORMAL_SUBGROUP_BUDGET,
     Subgroup,
     SubgroupSeries,
     center_over,
@@ -65,30 +64,26 @@ def _pe_over(G: FiniteGroup, M: Subgroup, N: Subgroup) -> bool:
     return commutator_with_group(G, M).bits | mpn == mpn
 
 
-def powerfully_embedded_over(
-    G: FiniteGroup, N: Subgroup, budget: int = NORMAL_SUBGROUP_BUDGET
-) -> List[Subgroup]:
+def powerfully_embedded_over(G: FiniteGroup, N: Subgroup) -> List[Subgroup]:
     """Every normal M >= N with M/N powerfully embedded in G/N, smallest first."""
     key = ("pwe_over", N.bits)
     hit = G.cache.get(key)
     if hit is None:
         hit = [
             M
-            for M in enumerate_normal_subgroups(G, budget)
+            for M in enumerate_normal_subgroups(G)
             if N.bits | M.bits == M.bits and _pe_over(G, M, N)
         ]
         G.cache[key] = hit
     return hit
 
 
-def powerfully_embedded_normals(
-    G: FiniteGroup, budget: int = NORMAL_SUBGROUP_BUDGET
-) -> List[Subgroup]:
+def powerfully_embedded_normals(G: FiniteGroup) -> List[Subgroup]:
     """All powerfully embedded (normal) subgroups, smallest first."""
-    return powerfully_embedded_over(G, trivial_subgroup(G), budget)
+    return powerfully_embedded_over(G, trivial_subgroup(G))
 
 
-def _eta_over(G: FiniteGroup, N: Subgroup, budget: int) -> Subgroup:
+def _eta_over(G: FiniteGroup, N: Subgroup) -> Subgroup:
     """The preimage of eta(G/N) in G, for a normal subgroup N.
 
     The join of every M >= N with M/N powerfully embedded in G/N; the join is
@@ -98,7 +93,7 @@ def _eta_over(G: FiniteGroup, N: Subgroup, budget: int) -> Subgroup:
     key = ("eta_over", N.bits)
     hit = G.cache.get(key)
     if hit is None:
-        e = join(G, powerfully_embedded_over(G, N, budget))
+        e = join(G, powerfully_embedded_over(G, N))
         where = f"{G.label} over its normal subgroup of order {N.order}"
         if not _pe_over(G, e, N):
             raise InvariantViolation(f"the join for eta of {where} is not powerfully embedded")
@@ -108,12 +103,12 @@ def _eta_over(G: FiniteGroup, N: Subgroup, budget: int) -> Subgroup:
     return hit
 
 
-def eta(G: FiniteGroup, budget: int = NORMAL_SUBGROUP_BUDGET) -> Subgroup:
+def eta(G: FiniteGroup) -> Subgroup:
     """The largest powerfully embedded subgroup of G (the join of all of them).
 
     The join is certified as powerfully embedded and as containing Z(G).
     """
-    return _eta_over(G, trivial_subgroup(G), budget)
+    return _eta_over(G, trivial_subgroup(G))
 
 
 @dataclass
@@ -133,7 +128,7 @@ class EtaReport:
     steps: List[EtaStep]
 
 
-def upper_eta_series(G: FiniteGroup, budget: int = NORMAL_SUBGROUP_BUDGET) -> EtaReport:
+def upper_eta_series(G: FiniteGroup) -> EtaReport:
     """eta_0 = 1, eta_{i+1}/eta_i = eta(G/eta_i), up to eta_k = G."""
     hit = G.cache.get("eta_report")
     if hit is None:
@@ -141,7 +136,7 @@ def upper_eta_series(G: FiniteGroup, budget: int = NORMAL_SUBGROUP_BUDGET) -> Et
         steps: List[EtaStep] = []
         while not terms[-1].is_whole():
             N = terms[-1]
-            e = _eta_over(G, N, budget)
+            e = _eta_over(G, N)
             if e.bits == N.bits:
                 raise InvariantViolation(
                     f"eta of the nontrivial quotient of {G.label} by a normal "
@@ -155,8 +150,8 @@ def upper_eta_series(G: FiniteGroup, budget: int = NORMAL_SUBGROUP_BUDGET) -> Et
     return hit
 
 
-def powerful_class(G: FiniteGroup, budget: int = NORMAL_SUBGROUP_BUDGET) -> int:
-    return upper_eta_series(G, budget).powerful_class
+def powerful_class(G: FiniteGroup) -> int:
+    return upper_eta_series(G).powerful_class
 
 
 def is_eta_series(G: FiniteGroup, terms: Sequence[Subgroup]) -> bool:
@@ -174,9 +169,7 @@ def is_eta_series(G: FiniteGroup, terms: Sequence[Subgroup]) -> bool:
     return all(_pe_over(G, hi, lo) for lo, hi in zip(terms, terms[1:]))
 
 
-def powerful_height(
-    G: FiniteGroup, N: Subgroup, budget: int = NORMAL_SUBGROUP_BUDGET
-) -> int:
+def powerful_height(G: FiniteGroup, N: Subgroup) -> int:
     """Length of the shortest eta-series from 1 to the normal subgroup N.
 
     Greedily, K_0 = 1 and K_{i+1} is the join of every normal M <= N of G
@@ -192,7 +185,7 @@ def powerful_height(
     steps = 0
     K = trivial_subgroup(G)
     while K.bits != N.bits:
-        nxt = join(G, [M for M in powerfully_embedded_over(G, K, budget) if M <= N])
+        nxt = join(G, [M for M in powerfully_embedded_over(G, K) if M <= N])
         if nxt.bits == K.bits:
             raise InvariantViolation(
                 f"no powerfully embedded step below N over order {K.order} in {G.label}; "
@@ -245,9 +238,7 @@ class UniserialReport:
     power_shift_checks: Tuple[Tuple[int, bool], ...] = ()
 
 
-def uniserial_report(
-    G: FiniteGroup, budget: int = NORMAL_SUBGROUP_BUDGET
-) -> UniserialReport:
+def uniserial_report(G: FiniteGroup) -> UniserialReport:
     """Verify uniserial action on gamma_m(G) for large groups of coclass r."""
     p = G.p
     r = coclass(G)
@@ -279,7 +270,7 @@ def uniserial_report(
     d = (p - 1) * p**found
     gm = lower_central_term(G, m)
     uniserial = True
-    for H in enumerate_normal_subgroups(G, budget):
+    for H in enumerate_normal_subgroups(G):
         if H.is_trivial() or H.bits | gm.bits != gm.bits:
             continue
         hg = commutator_with_group(G, H)
@@ -297,7 +288,7 @@ def uniserial_report(
     )
 
 
-def pwccoclass_bound_check(G: FiniteGroup, budget: int = NORMAL_SUBGROUP_BUDGET) -> bool:
+def pwccoclass_bound_check(G: FiniteGroup) -> bool:
     """|G| <= p^(k+r+m-1) whenever |G| reaches the uniseriality threshold.
 
     k is the powerful class, r the coclass, m = p^r - p^(r-1); groups below
@@ -307,6 +298,6 @@ def pwccoclass_bound_check(G: FiniteGroup, budget: int = NORMAL_SUBGROUP_BUDGET)
     r = coclass(G)
     if G.order < p ** (2 * p**r + r):
         return True
-    k = powerful_class(G, budget)
+    k = powerful_class(G)
     m = p**r - p ** (r - 1)
     return G.order <= p ** (k + r + m - 1)

@@ -16,7 +16,6 @@ from .errors import NotAnEtaSeries, NotNormal, TheoremViolated, ValidationFailed
 from .eta_series import is_eta_series, powerful_class
 from .groups import FiniteGroup
 from .subgroups import (
-    NORMAL_SUBGROUP_BUDGET,
     Subgroup,
     commutator_with_group,
     enumerate_normal_subgroups,
@@ -75,9 +74,7 @@ class PotentFiltration:
         return len(self.terms)
 
 
-def pf_embedding_witness(
-    G: FiniteGroup, N: Subgroup, budget: int = NORMAL_SUBGROUP_BUDGET
-) -> Optional[PotentFiltration]:
+def pf_embedding_witness(G: FiniteGroup, N: Subgroup) -> Optional[PotentFiltration]:
     """A potent filtration of N in G, or None when none exists.
 
     Edges K -> M run over strictly smaller normal subgroups with
@@ -89,7 +86,7 @@ def pf_embedding_witness(
         raise NotNormal("PF-embedding is defined for normal subgroups")
     if N.is_trivial():
         return PotentFiltration(G, [N])
-    nodes = enumerate_normal_subgroups(G, budget)
+    nodes = enumerate_normal_subgroups(G)
     memo: Dict[int, Optional[List[Subgroup]]] = {1: [trivial_subgroup(G)]}
 
     def search(K: Subgroup) -> Optional[List[Subgroup]]:
@@ -121,15 +118,15 @@ def pf_embedding_witness(
     return filt
 
 
-def is_pf_embedded(G: FiniteGroup, N: Subgroup, budget: int = NORMAL_SUBGROUP_BUDGET) -> bool:
-    return pf_embedding_witness(G, N, budget) is not None
+def is_pf_embedded(G: FiniteGroup, N: Subgroup) -> bool:
+    return pf_embedding_witness(G, N) is not None
 
 
-def is_pf_group(G: FiniteGroup, budget: int = NORMAL_SUBGROUP_BUDGET) -> bool:
+def is_pf_group(G: FiniteGroup) -> bool:
     key = "is_pf"
     hit = G.cache.get(key)
     if hit is None:
-        hit = is_pf_embedded(G, whole_subgroup(G), budget)
+        hit = is_pf_embedded(G, whole_subgroup(G))
         G.cache[key] = hit
     return hit
 
@@ -193,13 +190,13 @@ class OmegaReport:
     rows: List[OmegaRow]
 
 
-def omega_exponent_check(G: FiniteGroup, budget: int = NORMAL_SUBGROUP_BUDGET) -> OmegaReport:
+def omega_exponent_check(G: FiniteGroup) -> OmegaReport:
     """Certify exp Omega_i(G) <= p^(i+ell) with ell = ceil(pwc / (p-1)).
 
     Raises TheoremViolated if any bound fails; that must never happen.
     """
     p = G.p
-    k = powerful_class(G, budget)
+    k = powerful_class(G)
     ell = -(-k // (p - 1))
     rows: List[OmegaRow] = []
     prev = trivial_subgroup(G)
@@ -207,7 +204,7 @@ def omega_exponent_check(G: FiniteGroup, budget: int = NORMAL_SUBGROUP_BUDGET) -
     while prev.order < G.order:
         om = omega_subgroup(G, i)
         if om.bits != prev.bits:
-            exp = max(G.element_order(x) for x in om.elements())
+            exp = p ** max(map(G.order_exponent, om.elements()))
             bound = p ** (i + ell)
             if not power_subgroup(G, om, i + ell).is_trivial():
                 raise TheoremViolated(

@@ -48,6 +48,15 @@ def validate_odd_prime(p: int) -> int:
     return p
 
 
+def log_p(p: int, order: int) -> int:
+    """e with order = p**e, for the order of a p-group, a subgroup or an index."""
+    e = 0
+    while order > 1:
+        order //= p
+        e += 1
+    return e
+
+
 def _check_cap(order: int, what: str) -> int:
     if order > ELEMENT_CAP:
         raise SizeLimitExceeded(

@@ -13,15 +13,11 @@ from . import eta_series as eta_mod
 from . import filtrations as pf
 from . import subgroups as sg
 from .errors import InvariantViolation
-from .groups import FiniteGroup
+from .groups import FiniteGroup, log_p
 
 
 def _p_exp(p: int, value: int) -> List[int]:
-    e = 0
-    while value > 1:
-        value //= p
-        e += 1
-    return [p, e]
+    return [p, log_p(p, value)]
 
 
 def _series_orders(p: int, series: sg.SubgroupSeries) -> List[List[int]]:
@@ -36,16 +32,21 @@ def analyze_group(
     budget: int = sg.NORMAL_SUBGROUP_BUDGET,
     skip: Sequence[str] = (),
 ) -> Dict[str, object]:
-    """Compute the full analysis report as a JSON-ready dictionary."""
+    """Compute the full analysis report as a JSON-ready dictionary.
+
+    G's normal lattice is enumerated first, within budget; every section
+    below reads it from the cache.
+    """
     skip = set(skip)
     unknown = skip - set(ANALYSIS_SECTIONS)
     if unknown:
         raise ValueError(f"unknown skip sections {sorted(unknown)}")
+    sg.enumerate_normal_subgroups(G, budget)
     p = G.p
     ucs = sg.upper_central_series(G)
     lcs = sg.lower_central_series(G)
     cls = len(lcs.terms) - 1
-    report = eta_mod.upper_eta_series(G, budget)
+    report = eta_mod.upper_eta_series(G)
     eta_terms = report.series.terms
     pwc = report.powerful_class
 
@@ -88,7 +89,7 @@ def analyze_group(
     if "surjectivity" in skip:
         out["power_surjective"] = None
     else:
-        e_exp = _p_exp(p, G.exponent())[1]
+        e_exp = log_p(p, G.exponent())
         out["power_surjective"] = {
             str(i): pf.is_power_surjective(G, i) for i in range(1, max(e_exp, 1) + 1)
         }
@@ -96,7 +97,7 @@ def analyze_group(
     if "pf" in skip:
         out["pf"] = None
     else:
-        witness = pf.pf_embedding_witness(G, sg.whole_subgroup(G), budget)
+        witness = pf.pf_embedding_witness(G, sg.whole_subgroup(G))
         out["pf"] = {
             "status": witness is not None,
             "witness_length": len(witness) if witness is not None else None,
@@ -109,7 +110,7 @@ def analyze_group(
     if "omega" in skip:
         out["omega"] = None
     else:
-        om = pf.omega_exponent_check(G, budget)
+        om = pf.omega_exponent_check(G)
         out["omega"] = {
             "ell": om.ell,
             "rows": [
@@ -126,7 +127,7 @@ def analyze_group(
     if "uniserial" in skip:
         out["uniserial"] = None
     else:
-        us = eta_mod.uniserial_report(G, budget)
+        us = eta_mod.uniserial_report(G)
         out["uniserial"] = {
             "applicable": us.applicable,
             "coclass": us.coclass_r,

@@ -20,7 +20,7 @@ from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, InvariantViolation, NotNormal
-from .groups import FiniteGroup, GroupHom
+from .groups import FiniteGroup, GroupHom, log_p
 
 NORMAL_SUBGROUP_BUDGET = 1_000_000
 
@@ -542,12 +542,7 @@ def minimal_generator_count(G: FiniteGroup) -> int:
     """d(G) = log_p |G : Phi(G)| (0 for the trivial group)."""
     if G.order == 1:
         return 0
-    index = G.order // frattini(G).order
-    d = 0
-    while index > 1:
-        index //= G.p
-        d += 1
-    return d
+    return log_p(G.p, G.order // frattini(G).order)
 
 
 def nilpotency_class(G: FiniteGroup) -> int:
@@ -555,21 +550,11 @@ def nilpotency_class(G: FiniteGroup) -> int:
 
 
 def coclass(G: FiniteGroup) -> int:
-    n = 0
-    order = G.order
-    while order > 1:
-        order //= G.p
-        n += 1
-    return n - nilpotency_class(G)
+    return log_p(G.p, G.order) - nilpotency_class(G)
 
 
 def is_maximal_class(G: FiniteGroup) -> bool:
-    n = 0
-    order = G.order
-    while order > 1:
-        order //= G.p
-        n += 1
-    return n >= 4 and coclass(G) == 1
+    return log_p(G.p, G.order) >= 4 and coclass(G) == 1
 
 
 @dataclass
@@ -760,7 +745,12 @@ def enumerate_normal_subgroups(
     so only one count array per level of the search is alive.
 
     M's witnesses are its parent's plus the least element of M outside the
-    parent.  The budget counts distinct normal subgroups.
+    parent.
+
+    This is the only function that takes a budget; it counts distinct
+    normal subgroups.  A caller that wants a bound enumerates G first.
+    Every other function reads the cached lattice, or enumerates it at the
+    default budget on first use.
     """
     hit = G.cache.get("normals")
     if hit is not None:

@@ -18,7 +18,7 @@ from . import filtrations as pf
 from . import report as report_mod
 from . import subgroups as sg
 from .errors import PGroupError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, log_p
 
 SUITES = ("eta-lemmas", "small-pwc", "omega", "coclass", "catalog-regression")
 
@@ -71,9 +71,7 @@ def _eta_term(report: eta_mod.EtaReport, i: int) -> sg.Subgroup:
     return terms[i] if i < len(terms) else terms[-1]
 
 
-def random_eta_series(
-    G: FiniteGroup, rng: random.Random, budget: int
-) -> List[sg.Subgroup]:
+def random_eta_series(G: FiniteGroup, rng: random.Random) -> List[sg.Subgroup]:
     """An ascending eta-series of G built from random powerfully embedded steps.
 
     Each step picks a normal M above the last term N with M/N powerfully
@@ -82,7 +80,7 @@ def random_eta_series(
     terms = [sg.trivial_subgroup(G)]
     while not terms[-1].is_whole():
         # sorted by order, so the first member is the last term itself
-        cands = eta_mod.powerfully_embedded_over(G, terms[-1], budget)[1:]
+        cands = eta_mod.powerfully_embedded_over(G, terms[-1])[1:]
         terms.append(cands[rng.randrange(len(cands))])
     return terms
 
@@ -91,8 +89,7 @@ def random_eta_series(
 
 
 def _suite_eta_lemmas(run: _Run, key: str, G: FiniteGroup) -> None:
-    budget = run.budget
-    report = eta_mod.upper_eta_series(G, budget)
+    report = eta_mod.upper_eta_series(G)
     pwc = report.powerful_class
     ucs = sg.upper_central_series(G)
     cls = sg.nilpotency_class(G)
@@ -131,7 +128,7 @@ def _suite_eta_lemmas(run: _Run, key: str, G: FiniteGroup) -> None:
     def chk_quotient_shift() -> Tuple[bool, str]:
         for j in range(pwc + 1):
             Q, proj = sg.quotient(G, _eta_term(report, j))
-            qrep = eta_mod.upper_eta_series(Q, budget)
+            qrep = eta_mod.upper_eta_series(Q)
             for i in range(qrep.powerful_class + 1):
                 want = proj.image_bits(_eta_term(report, i + j).bits)
                 if _eta_term(qrep, i).bits != want:
@@ -146,7 +143,7 @@ def _suite_eta_lemmas(run: _Run, key: str, G: FiniteGroup) -> None:
 
     def chk_height() -> Tuple[bool, str]:
         for i in range(pwc + 1):
-            h = eta_mod.powerful_height(G, _eta_term(report, i), budget)
+            h = eta_mod.powerful_height(G, _eta_term(report, i))
             if h > i:
                 return False, f"pwh(eta_{i}) = {h} > {i}"
         return True, f"i=0..{pwc}"
@@ -163,7 +160,11 @@ def _suite_eta_lemmas(run: _Run, key: str, G: FiniteGroup) -> None:
             if term.is_whole():
                 inner = pwc
             else:
-                inner = eta_mod.powerful_class(sg.subgroup_as_group(G, term), budget)
+                # the lattice of eta_i is not an interval of G's, so it
+                # gets its own bound
+                H = sg.subgroup_as_group(G, term)
+                sg.enumerate_normal_subgroups(H, run.budget)
+                inner = eta_mod.powerful_class(H)
             if inner > i:
                 return False, f"pwc(eta_{i}) = {inner} > {i}"
         return True, f"i=1..{pwc}"
@@ -191,7 +192,7 @@ def _suite_eta_lemmas(run: _Run, key: str, G: FiniteGroup) -> None:
     def chk_mod_eta_p() -> Tuple[bool, str]:
         ep = sg.power_subgroup(G, _eta_term(report, 1), 1)
         Q, proj = sg.quotient(G, ep)
-        qrep = eta_mod.upper_eta_series(Q, budget)
+        qrep = eta_mod.upper_eta_series(Q)
         top = max(pwc, qrep.powerful_class)
         for i in range(1, top + 1):
             want = proj.image_bits(_eta_term(report, i).bits)
@@ -234,7 +235,7 @@ def _suite_eta_lemmas(run: _Run, key: str, G: FiniteGroup) -> None:
     def chk_fastest() -> Tuple[bool, str]:
         rng = random.Random(f"{run.seed}|fastest-series|{key}")
         for trial in range(ETA_SERIES_SAMPLES):
-            series = random_eta_series(G, rng, budget)
+            series = random_eta_series(G, rng)
             for i, term in enumerate(series):
                 if not term <= _eta_term(report, i):
                     return False, f"trial {trial} escapes at index {i}"
@@ -247,10 +248,10 @@ def _suite_eta_lemmas(run: _Run, key: str, G: FiniteGroup) -> None:
     )
 
     def chk_join() -> Tuple[bool, str]:
-        e1 = eta_mod.eta(G, budget)
+        e1 = eta_mod.eta(G)
         return (
-            all(N <= e1 for N in eta_mod.powerfully_embedded_normals(G, budget)),
-            f"{len(eta_mod.powerfully_embedded_normals(G, budget))} embedded subgroups",
+            all(N <= e1 for N in eta_mod.powerfully_embedded_normals(G)),
+            f"{len(eta_mod.powerfully_embedded_normals(G))} embedded subgroups",
         )
 
     run.check(
@@ -262,7 +263,7 @@ def _suite_eta_lemmas(run: _Run, key: str, G: FiniteGroup) -> None:
     if G.order == G.p**3 and not G.is_abelian():
 
         def chk_p3() -> Tuple[bool, str]:
-            e1 = eta_mod.eta(G, budget)
+            e1 = eta_mod.eta(G)
             if G.exponent() == G.p:
                 return e1.bits == sg.center(G).bits, "exponent p: eta = Z"
             return e1.is_whole(), "exponent p^2: eta = G"
@@ -288,9 +289,8 @@ def _generating_pair(G: FiniteGroup) -> Optional[Tuple[int, int]]:
 
 
 def _suite_small_pwc(run: _Run, key: str, G: FiniteGroup) -> None:
-    budget = run.budget
     p = G.p
-    report = eta_mod.upper_eta_series(G, budget)
+    report = eta_mod.upper_eta_series(G)
     pwc = report.powerful_class
     whole = sg.whole_subgroup(G)
 
@@ -298,7 +298,7 @@ def _suite_small_pwc(run: _Run, key: str, G: FiniteGroup) -> None:
 
         def chk_small() -> Tuple[bool, str]:
             filt = pf.small_height_filtration(G, whole, report.series.terms)
-            witness = pf.pf_embedding_witness(G, whole, budget)
+            witness = pf.pf_embedding_witness(G, whole)
             ok = witness is not None
             return ok, f"constructed length {len(filt)}, reachability witness {ok}"
 
@@ -364,7 +364,7 @@ def _suite_small_pwc(run: _Run, key: str, G: FiniteGroup) -> None:
         for i in range(top + 1):
             N = _eta_term(report, i)
             filt = pf.small_height_filtration(G, N, report.series.terms[: i + 1])
-            if pf.pf_embedding_witness(G, N, budget) is None:
+            if pf.pf_embedding_witness(G, N) is None:
                 return False, f"reachability finds no witness for eta_{i}"
             filt.validate()
         return True, f"i=0..{top}"
@@ -376,7 +376,7 @@ def _suite_small_pwc(run: _Run, key: str, G: FiniteGroup) -> None:
     )
 
     def chk_pf_surjective() -> Tuple[bool, str]:
-        if not pf.is_pf_group(G, budget):
+        if not pf.is_pf_group(G):
             return True, "vacuous (not a PF-group)"
         return pf.is_power_surjective(G, 1), "PF-group"
 
@@ -403,9 +403,9 @@ def _suite_small_pwc(run: _Run, key: str, G: FiniteGroup) -> None:
 
 def _suite_omega(run: _Run, key: str, G: FiniteGroup) -> None:
     def chk() -> Tuple[bool, str]:
-        om = pf.omega_exponent_check(G, run.budget)
+        om = pf.omega_exponent_check(G)
         rows = ", ".join(
-            f"i={r.i}: exp p^{_log(G.p, r.omega_exponent)} <= p^{r.i + om.ell}"
+            f"i={r.i}: exp p^{log_p(G.p, r.omega_exponent)} <= p^{r.i + om.ell}"
             for r in om.rows
         )
         return True, rows or "no torsion layers (trivial group)"
@@ -417,25 +417,16 @@ def _suite_omega(run: _Run, key: str, G: FiniteGroup) -> None:
     )
 
 
-def _log(p: int, value: int) -> int:
-    e = 0
-    while value > 1:
-        value //= p
-        e += 1
-    return e
-
-
 # -- coclass -------------------------------------------------------------------
 
 
 def _suite_coclass(run: _Run, key: str, G: FiniteGroup) -> None:
-    budget = run.budget
-    report = eta_mod.upper_eta_series(G, budget)
+    report = eta_mod.upper_eta_series(G)
 
     if sg.is_maximal_class(G):
 
         def chk_max() -> Tuple[bool, str]:
-            return eta_mod.eta(G, budget).bits == sg.center(G).bits, "eta = Z"
+            return eta_mod.eta(G).bits == sg.center(G).bits, "eta = Z"
 
         run.check(
             "coclass", "maximal-class-eta", key,
@@ -460,7 +451,7 @@ def _suite_coclass(run: _Run, key: str, G: FiniteGroup) -> None:
         )
 
     def chk_uniserial() -> Tuple[bool, str]:
-        us = eta_mod.uniserial_report(G, budget)
+        us = eta_mod.uniserial_report(G)
         if not us.applicable:
             return True, "below order threshold (vacuous)"
         ok = us.uniserial is True and all(good for _, good in us.power_shift_checks)
@@ -477,7 +468,7 @@ def _suite_coclass(run: _Run, key: str, G: FiniteGroup) -> None:
         "coclass", "order-bound", key,
         "|G| <= p^(k+r+m-1) for k = pwc(G), r = coclass, m = p^r - p^(r-1) "
         "(above the uniseriality threshold)",
-        lambda: (eta_mod.pwccoclass_bound_check(G, budget), ""),
+        lambda: (eta_mod.pwccoclass_bound_check(G), ""),
     )
 
     def chk_pfcoclass() -> Tuple[bool, str]:
@@ -485,7 +476,7 @@ def _suite_coclass(run: _Run, key: str, G: FiniteGroup) -> None:
         r = sg.coclass(G)
         if G.order < p ** (2 * p**r + r):
             return True, "below order threshold (vacuous)"
-        return not pf.is_pf_group(G, budget), f"coclass {r}"
+        return not pf.is_pf_group(G), f"coclass {r}"
 
     run.check(
         "coclass", "large-coclass-not-pf", key,
@@ -560,13 +551,12 @@ def kirillov_formula_series(G: FiniteGroup) -> List[sg.Subgroup]:
 def _suite_catalog_regression(
     run: _Run, key: str, G: FiniteGroup, name: str, params: cat.Params
 ) -> None:
-    budget = run.budget
     record = cat.expected_record(name, params)
 
     def chk_record() -> Tuple[bool, str]:
         if record is None:
             return False, "no expected record for this instance"
-        rep = report_mod.analyze_group(G, budget)
+        rep = report_mod.analyze_group(G)
         actual = flatten_report(rep)
         bad = [
             f"{field}: computed {actual[field]!r} != recorded {record[field]['v']!r}"
@@ -622,7 +612,7 @@ def _suite_catalog_regression(
             if sg.center(G).bits != want_z.bits:
                 return False, "Z(G) != <x_1^(p^n)>"
             ucs = sg.upper_central_series(G)
-            report = eta_mod.upper_eta_series(G, budget)
+            report = eta_mod.upper_eta_series(G)
             if len(ucs.terms) != len(report.series.terms) or any(
                 z.bits != e.bits for z, e in zip(ucs.terms, report.series.terms)
             ):
@@ -642,7 +632,7 @@ def _suite_catalog_regression(
     if name == "kirillov_quotient":
 
         def chk_formula() -> Tuple[bool, str]:
-            report = eta_mod.upper_eta_series(G, budget)
+            report = eta_mod.upper_eta_series(G)
             formula = kirillov_formula_series(G)
             computed = report.series.terms
             match = len(formula) == len(computed) and all(
@@ -685,6 +675,10 @@ def run_suites(
     for name, params in instances:
         key = cat.instance_key(name, params)
         G = cat.catalog_build(name, **params)
+        # The one bounded enumeration: the normal subgroups of a quotient G/N
+        # are those of G above N, so G's budget bounds every quotient the
+        # suites build too.
+        sg.enumerate_normal_subgroups(G, budget)
         if "eta-lemmas" in suites:
             _suite_eta_lemmas(run, key, G)
         if "small-pwc" in suites:

@@ -12,6 +12,7 @@ from pgroups.fileformat import (
     load_path,
     loads,
 )
+from pgroups.verify import SUITES
 
 HEISENBERG_DOC = {
     "format": "pgroup-v1",
@@ -240,9 +241,35 @@ def test_cli_exit_code_of_every_error_class(monkeypatch, capsys):
         assert main(["analyze", "--catalog", "heisenberg"]) == EXIT_CODES[name], name
 
 
-def test_cli_analyze_budget_exceeded(capsys):
-    assert main(["analyze", "--catalog", "abelian", "--prime", "3",
-                 "--param", "exps=1,1", "--budget", "2"]) == 3
+# every command that enumerates a lattice enumerates the input group first,
+# within --budget, so exceeding it is exit 3 and never a FAIL line
+_C9 = ["--catalog", "abelian", "--prime", "3", "--param", "exps=1,1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", *_C9], ["series", *_C9, "--type", "eta"]]
+    + [["verify", suite, "--max-order", "27"] for suite in SUITES],
+    ids=["analyze", "series-eta"] + [f"verify-{suite}" for suite in SUITES],
+)
+def test_cli_analyze_budget_exceeded(argv, capsys):
+    assert main(argv + ["--budget", "2"]) == 3
+    assert "budget exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", *_C9, "--max-order", "27"],
+        ["catalog", "list", "--budget", "3"],
+        ["catalog", "get", "heisenberg", "--seed", "5"],
+    ],
+    ids=["analyze-max-order", "catalog-list-budget", "catalog-get-seed"],
+)
+def test_cli_rejects_flags_a_command_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_cli_analyze_scalar_int_list_param(capsys):

@@ -76,6 +76,38 @@ def test_only_the_enumerator_touches_the_lattice_cache():
     assert [node.lineno for node in uses if id(node) not in inside] == []
 
 
+def _functions(node, prefix=""):
+    """(qualified name, node) of every function defined under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _functions(child, name + ".")
+        elif isinstance(child, ast.Lambda):
+            yield prefix + "<lambda>", child
+        else:
+            yield from _functions(child, prefix)
+
+
+def test_only_entry_points_take_a_budget():
+    # the budget bounds G's one lattice enumeration; the entry points
+    # enumerate first, and everything else reads the cached lattice
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for name, fn in _functions(ast.parse(path.read_text(), str(path))):
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            if any(x is not None and x.arg == "budget" for x in params):
+                found.append(f"{path.relative_to(SRC)}:{name}")
+    assert sorted(found) == [
+        "report.py:analyze_group",
+        "subgroups.py:enumerate_normal_subgroups",
+        "verify.py:_Run.__init__",
+        "verify.py:run_suites",
+    ]
+
+
 def test_default_suite_backend_products_are_bounded():
     # the product count is deterministic, so it pins the cost of analyze
     # without timing anything: the power walks and the tables over an
