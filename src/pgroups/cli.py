@@ -214,19 +214,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a property suite over the catalog")
     p_verify.add_argument("suite", choices=list(verify_mod.SUITES) + ["all"])
-    p_verify.add_argument(
+    orders = p_verify.add_mutually_exclusive_group()
+    orders.add_argument(
         "--extended",
         action="store_true",
         help="include the largest bundled instances (orders 3^7, 5^5, 3^8)",
     )
-    p_verify.add_argument(
-        "--seed", type=int, default=2024, help="seed for randomized property checks"
-    )
-    p_verify.add_argument(
+    orders.add_argument(
         "--max-order",
         type=int,
         default=None,
         help="largest group order the verify suites touch (default 729)",
+    )
+    p_verify.add_argument(
+        "--seed", type=int, default=2024, help="seed for randomized property checks"
     )
     _json_flag(p_verify)
     _budget_flag(p_verify)

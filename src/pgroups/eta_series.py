@@ -12,8 +12,9 @@ M/N is powerfully embedded in G/N exactly when [M, G] <= M^p N, and M^p N,
 a product of two normal subgroups, is again a member of G's normal lattice.
 So eta of every quotient G/N (pulled back to G), the upper eta-series,
 powerful height and the eta-series test are all filters over G's one cached
-lattice.  [M, G], M^p and the joins come from ``subgroups``, which reads
-them off that lattice as ``normal_hull`` lookups; the first of them
+lattice, and the upper eta-series and powerful height are one greedy chain
+(``_eta_chain``).  [M, G], M^p and the joins come from ``subgroups``, which
+reads them off that lattice as ``normal_hull`` lookups; the first of them
 enumerates the lattice.  The powerfully-embedded test is the case N = 1.
 """
 
@@ -83,24 +84,55 @@ def powerfully_embedded_normals(G: FiniteGroup) -> List[Subgroup]:
     return powerfully_embedded_over(G, trivial_subgroup(G))
 
 
-def _eta_over(G: FiniteGroup, N: Subgroup) -> Subgroup:
-    """The preimage of eta(G/N) in G, for a normal subgroup N.
+def _eta_over(G: FiniteGroup, K: Subgroup, N: Subgroup) -> Subgroup:
+    """The largest normal M with K <= M <= N and M/K powerfully embedded in G/K.
 
-    The join of every M >= N with M/N powerfully embedded in G/N; the join is
-    then itself certified as powerfully embedded over N and as containing
-    the preimage of Z(G/N).
+    K <= N are normal.  M is the join of every member of
+    ``powerfully_embedded_over(G, K)`` that lies in N; the join is then
+    itself certified as powerfully embedded over K and as containing the
+    preimage of Z(G/K) within N (its image in G/K is central, hence
+    powerfully embedded).  With N = G, M is the preimage of eta(G/K).
     """
-    key = ("eta_over", N.bits)
+    key = ("eta_over", K.bits, N.bits)
     hit = G.cache.get(key)
     if hit is None:
-        e = join(G, powerfully_embedded_over(G, N))
-        where = f"{G.label} over its normal subgroup of order {N.order}"
-        if not _pe_over(G, e, N):
-            raise InvariantViolation(f"the join for eta of {where} is not powerfully embedded")
-        if not center_over(G, N) <= e:
-            raise InvariantViolation(f"eta of {where} does not contain the center")
+        nb = N.bits
+        e = join(G, [M for M in powerfully_embedded_over(G, K) if M.bits | nb == nb])
+        where = f"{G.label} over its normal subgroup of order {K.order}"
+        if not _pe_over(G, e, K):
+            raise InvariantViolation(f"the eta step of {where} is not powerfully embedded")
+        if (center_over(G, K).bits & nb) | e.bits != e.bits:
+            raise InvariantViolation(f"the eta step of {where} does not contain the center")
         G.cache[key] = hit = e
     return hit
+
+
+def _eta_chain(G: FiniteGroup, N: Subgroup) -> List[Subgroup]:
+    """The greedy eta-series K_0 = 1 < K_1 < ... < K_h = N of a normal N.
+
+    K_(i+1) = ``_eta_over(G, K_i, N)``, the join of every normal M <= N of G
+    with M/K_i powerfully embedded in G/K_i, i.e. [M, G] <= M^p K_i.  Each
+    step is certified powerfully embedded over K_i, so (K_i) is an
+    eta-series of N.  It is the fastest one, hence a shortest one: let
+    (N_i) be any eta-series of N and assume N_i <= K_i.  Then M = N_(i+1)
+    K_i satisfies K_i <= M <= N and [M, G] = [N_(i+1), G][K_i, G] <= M^p
+    K_i, so M is one of the subgroups joined into K_(i+1), and N_(i+1) <=
+    K_(i+1).  With N = G this is the upper eta-series, so pwc(G) = pwh(G).
+    """
+    if not N.is_normal():
+        raise NotNormal("an eta-series is defined up to a normal subgroup")
+    terms = [trivial_subgroup(G)]
+    while terms[-1].bits != N.bits:
+        K = terms[-1]
+        e = _eta_over(G, K, N)
+        if e.bits == K.bits:
+            raise InvariantViolation(
+                f"no powerfully embedded step over the normal subgroup of order "
+                f"{K.order} below one of order {N.order} in {G.label}; every "
+                "finite p-group must admit one"
+            )
+        terms.append(e)
+    return terms
 
 
 def eta(G: FiniteGroup) -> Subgroup:
@@ -108,7 +140,7 @@ def eta(G: FiniteGroup) -> Subgroup:
 
     The join is certified as powerfully embedded and as containing Z(G).
     """
-    return _eta_over(G, trivial_subgroup(G))
+    return _eta_over(G, trivial_subgroup(G), whole_subgroup(G))
 
 
 @dataclass
@@ -129,21 +161,14 @@ class EtaReport:
 
 
 def upper_eta_series(G: FiniteGroup) -> EtaReport:
-    """eta_0 = 1, eta_{i+1}/eta_i = eta(G/eta_i), up to eta_k = G."""
+    """eta_0 = 1, eta_{i+1}/eta_i = eta(G/eta_i), up to eta_k = G (``_eta_chain``)."""
     hit = G.cache.get("eta_report")
     if hit is None:
-        terms = [trivial_subgroup(G)]
-        steps: List[EtaStep] = []
-        while not terms[-1].is_whole():
-            N = terms[-1]
-            e = _eta_over(G, N)
-            if e.bits == N.bits:
-                raise InvariantViolation(
-                    f"eta of the nontrivial quotient of {G.label} by a normal "
-                    f"subgroup of order {N.order} is trivial"
-                )
-            steps.append(EtaStep(G.order // N.order, e.order // N.order))
-            terms.append(e)
+        terms = _eta_chain(G, whole_subgroup(G))
+        steps = [
+            EtaStep(G.order // K.order, e.order // K.order)
+            for K, e in zip(terms, terms[1:])
+        ]
         series = SubgroupSeries("eta", "ascending", terms)
         hit = EtaReport(series, len(terms) - 1, steps)
         G.cache["eta_report"] = hit
@@ -170,35 +195,8 @@ def is_eta_series(G: FiniteGroup, terms: Sequence[Subgroup]) -> bool:
 
 
 def powerful_height(G: FiniteGroup, N: Subgroup) -> int:
-    """Length of the shortest eta-series from 1 to the normal subgroup N.
-
-    Greedily, K_0 = 1 and K_{i+1} is the join of every normal M <= N of G
-    with M/K_i powerfully embedded in G/K_i, i.e. [M, G] <= M^p K_i, read off
-    G's normal lattice.  Each join is certified powerfully embedded over
-    K_i, so (K_i) is an eta-series of N.  It is a shortest one: let (N_i) be
-    any eta-series of N and assume N_i <= K_i.  Then M = N_{i+1} K_i
-    satisfies K_i <= M <= N and [M, G] = [N_{i+1}, G][K_i, G] <= M^p K_i, so
-    M is one of the subgroups joined into K_{i+1}, and N_{i+1} <= K_{i+1}.
-    """
-    if not N.is_normal():
-        raise NotNormal("powerful height is defined for normal subgroups")
-    steps = 0
-    K = trivial_subgroup(G)
-    while K.bits != N.bits:
-        nxt = join(G, [M for M in powerfully_embedded_over(G, K) if M <= N])
-        if nxt.bits == K.bits:
-            raise InvariantViolation(
-                f"no powerfully embedded step below N over order {K.order} in {G.label}; "
-                "every finite p-group must admit one"
-            )
-        if not _pe_over(G, nxt, K):
-            raise InvariantViolation(
-                f"the join for a powerful-height step of {G.label} over its normal "
-                f"subgroup of order {K.order} is not powerfully embedded"
-            )
-        K = nxt
-        steps += 1
-    return steps
+    """Length of the shortest eta-series from 1 to the normal subgroup N (``_eta_chain``)."""
+    return len(_eta_chain(G, N)) - 1
 
 
 def eta_capability_obstruction(G: FiniteGroup) -> Optional[str]:
@@ -239,7 +237,17 @@ class UniserialReport:
 
 
 def uniserial_report(G: FiniteGroup) -> UniserialReport:
-    """Verify uniserial action on gamma_m(G) for large groups of coclass r."""
+    """Verify uniserial action on gamma_m(G) for large groups of coclass r.
+
+    The report is cached per group; callers must not mutate it.
+    """
+    hit = G.cache.get("uniserial")
+    if hit is None:
+        G.cache["uniserial"] = hit = _uniserial_report(G)
+    return hit
+
+
+def _uniserial_report(G: FiniteGroup) -> UniserialReport:
     p = G.p
     r = coclass(G)
     if r == 0:  # only the trivial group; p^(r-1) would not be an integer
@@ -291,13 +299,10 @@ def uniserial_report(G: FiniteGroup) -> UniserialReport:
 def pwccoclass_bound_check(G: FiniteGroup) -> bool:
     """|G| <= p^(k+r+m-1) whenever |G| reaches the uniseriality threshold.
 
-    k is the powerful class, r the coclass, m = p^r - p^(r-1); groups below
-    the threshold p^(2 p^r + r) pass vacuously.
+    k is the powerful class; r, m and the threshold p^(2 p^r + r) are those
+    of ``uniserial_report``.  Groups below the threshold pass vacuously.
     """
-    p = G.p
-    r = coclass(G)
-    if G.order < p ** (2 * p**r + r):
+    us = uniserial_report(G)
+    if not us.applicable:
         return True
-    k = powerful_class(G)
-    m = p**r - p ** (r - 1)
-    return G.order <= p ** (k + r + m - 1)
+    return G.order <= G.p ** (powerful_class(G) + us.coclass_r + us.m - 1)

@@ -81,9 +81,19 @@ def pf_embedding_witness(G: FiniteGroup, N: Subgroup) -> Optional[PotentFiltrati
     [K, G] <= M and [K, (p-1) G] <= M^p; a stalling step can always be elided
     from a filtration, so strict descent loses no witnesses and the DFS
     terminates without a depth bound.
+
+    The validated answer is cached per N, None included; callers must not
+    mutate it.
     """
     if not N.is_normal():
         raise NotNormal("PF-embedding is defined for normal subgroups")
+    key = ("pf_witness", N.bits)
+    if key not in G.cache:
+        G.cache[key] = _pf_search(G, N)
+    return G.cache[key]
+
+
+def _pf_search(G: FiniteGroup, N: Subgroup) -> Optional[PotentFiltration]:
     if N.is_trivial():
         return PotentFiltration(G, [N])
     nodes = enumerate_normal_subgroups(G)
@@ -123,12 +133,7 @@ def is_pf_embedded(G: FiniteGroup, N: Subgroup) -> bool:
 
 
 def is_pf_group(G: FiniteGroup) -> bool:
-    key = "is_pf"
-    hit = G.cache.get(key)
-    if hit is None:
-        hit = is_pf_embedded(G, whole_subgroup(G))
-        G.cache[key] = hit
-    return hit
+    return is_pf_embedded(G, whole_subgroup(G))
 
 
 def small_height_filtration(

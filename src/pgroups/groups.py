@@ -13,7 +13,8 @@ Only odd primes are supported; every constructor rejects p = 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     InconsistentPresentation,
@@ -234,6 +235,22 @@ def generated_elements(G: FiniteGroup, gens: Sequence[int], limit: Optional[int]
     return seen
 
 
+# bytes.translate maps between the digits of bin() and 0/1 membership flags
+_TO_FLAGS = bytes.maketrans(b"01", b"\0\1")
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def bits_iter(bits: int) -> Iterator[int]:
+    """Set bit positions in ascending order, in time linear in bits.bit_length()."""
+    flags = bin(bits)[:1:-1].encode().translate(_TO_FLAGS)
+    return compress(range(len(flags)), flags)
+
+
+def _from_flags(flags: bytearray) -> int:
+    """The bitset whose members are the x with flags[x] == 1."""
+    return int(flags.translate(_TO_DIGITS)[::-1], 2)
+
+
 class GroupHom:
     """A homomorphism between explicit groups, stored as a total index map.
 
@@ -250,13 +267,11 @@ class GroupHom:
         return self.mapping[x]
 
     def image_bits(self, bits: int) -> int:
-        out = 0
-        mg = self.mapping
-        while bits:
-            low = bits & -bits
-            out |= 1 << mg[low.bit_length() - 1]
-            bits ^= low
-        return out
+        """The bitset of the images of the members of bits, in time linear in |source|."""
+        flags = bytearray(self.target.order)
+        for y in map(self.mapping.__getitem__, bits_iter(bits)):
+            flags[y] = 1
+        return _from_flags(flags)
 
 
 # -- pc presentations ------------------------------------------------------
@@ -651,27 +666,22 @@ def extend_to_automorphism(M: FiniteGroup, images: Sequence[int]) -> List[int]:
         )
     amap = [-1] * M.order
     amap[0] = 0
-    frontier = [0]
-    gens = M.generators
+    reached = [0]
     mul = M.mul
-    while frontier:
-        new = []
-        for x in frontier:
-            fx = amap[x]
-            for g, fg in zip(gens, images):
-                y = mul(x, g)
-                if amap[y] < 0:
-                    amap[y] = mul(fx, fg)
-                    new.append(y)
-        frontier = new
-    if min(amap) < 0:
-        raise NotAutomorphism("generators do not generate M")
-    # Homomorphism on every (x, generator) pair extends inductively to all words.
-    for x in M.elements():
+    # One breadth-first pass: each (x, generator) pair either defines the
+    # image of x g or checks it.  A map that respects every such pair is a
+    # homomorphism, by induction on word length.
+    for x in reached:
         fx = amap[x]
-        for g, fg in zip(gens, images):
-            if amap[mul(x, g)] != mul(fx, fg):
+        for g, fg in zip(M.generators, images):
+            y, fy = mul(x, g), mul(fx, fg)
+            if amap[y] < 0:
+                amap[y] = fy
+                reached.append(y)
+            elif amap[y] != fy:
                 raise NotAutomorphism(f"images do not define a homomorphism at ({x}, {g})")
+    if len(reached) != M.order:
+        raise NotAutomorphism("generators do not generate M")
     if len(set(amap)) != M.order:
         raise NotAutomorphism("extended map is not bijective")
     return amap

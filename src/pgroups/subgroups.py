@@ -15,25 +15,14 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import islice
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, InvariantViolation, NotNormal
-from .groups import FiniteGroup, GroupHom, log_p
+from .groups import _TO_FLAGS, FiniteGroup, GroupHom, _from_flags, bits_iter, log_p
 
 NORMAL_SUBGROUP_BUDGET = 1_000_000
-
-
-# bytes.translate maps between the digits of bin() and 0/1 membership flags
-_TO_FLAGS = bytes.maketrans(b"01", b"\0\1")
-_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def bits_iter(bits: int) -> Iterator[int]:
-    """Set bit positions in ascending order, in time linear in bits.bit_length()."""
-    flags = bin(bits)[:1:-1].encode().translate(_TO_FLAGS)
-    return compress(range(len(flags)), flags)
 
 
 def _membership(G: FiniteGroup, bits: int) -> str:
@@ -44,11 +33,6 @@ def _membership(G: FiniteGroup, bits: int) -> str:
 def _flags(G: FiniteGroup, bits: int) -> bytearray:
     """Membership flags of bits: flags[x] == 1 exactly when x is in bits."""
     return bytearray(_membership(G, bits).encode().translate(_TO_FLAGS))
-
-
-def _from_flags(flags: bytearray) -> int:
-    """The bitset whose members are the x with flags[x] == 1."""
-    return int(flags.translate(_TO_DIGITS)[::-1], 2)
 
 
 class Subgroup:
@@ -247,9 +231,9 @@ def normal_hull(G: FiniteGroup, bits: int, order: int = 0) -> Subgroup:
     """
     normals = enumerate_normal_subgroups(G)
     start = bisect_left(normals, max(order, bits.bit_count()), key=lambda H: H.order)
-    for H in normals[start:]:
-        if bits | H.bits == H.bits:
-            return H
+    for i in range(start, len(normals)):  # a slice would copy the rest of the lattice
+        if bits | normals[i].bits == normals[i].bits:
+            return normals[i]
     raise InvariantViolation(f"no normal subgroup of {G.label} contains the given set")
 
 

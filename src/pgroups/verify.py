@@ -278,16 +278,6 @@ def _suite_eta_lemmas(run: _Run, key: str, G: FiniteGroup) -> None:
 # -- small powerful class ------------------------------------------------------
 
 
-def _generating_pair(G: FiniteGroup) -> Optional[Tuple[int, int]]:
-    gens = G.generators
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            got = sg.closure(G, [gens[i], gens[j]])
-            if got.is_whole():
-                return gens[i], gens[j]
-    return None
-
-
 def _suite_small_pwc(run: _Run, key: str, G: FiniteGroup) -> None:
     p = G.p
     report = eta_mod.upper_eta_series(G)
@@ -323,10 +313,10 @@ def _suite_small_pwc(run: _Run, key: str, G: FiniteGroup) -> None:
         if sg.minimal_generator_count(G) == 2:
 
             def chk_two_generator_exponent() -> Tuple[bool, str]:
-                pair = _generating_pair(G)
-                if pair is None:
-                    return False, "no generating pair among distinguished generators"
-                e = max(G.order_exponent(pair[0]), G.order_exponent(pair[1]))
+                # the tables' generators are irredundant, so by the Burnside
+                # basis theorem there are d(G) = 2 of them
+                a, b = sg._tables(G).gens
+                e = max(G.order_exponent(a), G.order_exponent(b))
                 exp = G.exponent()
                 return exp <= p**e, f"pair orders p^{e}, exponent {exp}"
 
@@ -472,11 +462,10 @@ def _suite_coclass(run: _Run, key: str, G: FiniteGroup) -> None:
     )
 
     def chk_pfcoclass() -> Tuple[bool, str]:
-        p = G.p
-        r = sg.coclass(G)
-        if G.order < p ** (2 * p**r + r):
+        us = eta_mod.uniserial_report(G)
+        if not us.applicable:
             return True, "below order threshold (vacuous)"
-        return not pf.is_pf_group(G), f"coclass {r}"
+        return not pf.is_pf_group(G), f"coclass {us.coclass_r}"
 
     run.check(
         "coclass", "large-coclass-not-pf", key,

@@ -171,6 +171,11 @@ def test_uniserial_mainline_3_7(groups):
     assert power_subgroup(G, terms[1], 1).bits == terms[3].bits  # gamma_2^3 = gamma_4
 
 
+def test_uniserial_report_is_computed_once(groups):
+    for G in (groups("heisenberg", p=3), groups("mainline_coclass1", p=3, k=6)):
+        assert uniserial_report(G) is uniserial_report(G)
+
+
 def test_pwc_coclass_bound(groups):
     for name, params in [
         ("heisenberg", {"p": 3}),

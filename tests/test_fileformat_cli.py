@@ -263,8 +263,14 @@ def test_cli_analyze_budget_exceeded(argv, capsys):
         ["analyze", *_C9, "--max-order", "27"],
         ["catalog", "list", "--budget", "3"],
         ["catalog", "get", "heisenberg", "--seed", "5"],
+        ["verify", "omega", "--extended", "--max-order", "27"],
     ],
-    ids=["analyze-max-order", "catalog-list-budget", "catalog-get-seed"],
+    ids=[
+        "analyze-max-order",
+        "catalog-list-budget",
+        "catalog-get-seed",
+        "verify-extended-max-order",
+    ],
 )
 def test_cli_rejects_flags_a_command_does_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -41,6 +41,12 @@ def test_pf_witness_heisenberg(groups):
     assert is_pf_group(G)
 
 
+def test_pf_witness_is_computed_once_per_subgroup(groups):
+    G = groups("heisenberg", p=3)
+    for N in (whole_subgroup(G), center(G), trivial_subgroup(G)):
+        assert pf_embedding_witness(G, N) is pf_embedding_witness(G, N)
+
+
 def test_pf_witness_of_trivial_subgroup(groups):
     G = groups("heisenberg", p=3)
     filt = pf_embedding_witness(G, trivial_subgroup(G))

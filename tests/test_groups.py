@@ -357,6 +357,13 @@ def test_semidirect_not_an_automorphism():
         build_semidirect(M, [M.pow(g, 3)], 1)  # g -> g^3 is not injective
 
 
+def test_semidirect_images_that_are_not_a_homomorphism():
+    M = build_abelian(3, [1, 2])
+    g1, g2 = M.generators
+    with pytest.raises(NotAutomorphism, match="do not define a homomorphism"):
+        build_semidirect(M, [g2, g1], 1)  # swaps generators of orders 3 and 9
+
+
 def test_semidirect_requires_abelian_base():
     H = build_from_pc(heisenberg_pres())
     with pytest.raises(NotAbelian):
@@ -506,6 +513,29 @@ def test_quotient_heisenberg_by_center(groups):
     for a in range(27):
         for b in range(27):
             assert proj(G.mul(a, b)) == Q.mul(proj(a), proj(b))
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("heisenberg", {"p": 3}),
+        ("wreath", {"p": 3}),
+        ("mainline_coclass1", {"p": 3, "k": 4}),
+        ("unitriangular", {"n": 3, "p": 3, "m": 2}),
+    ],
+)
+def test_image_bits_is_the_set_of_images(name, params, groups):
+    G = groups(name, **params)
+    Q, proj = quotient(G, center(G))
+    rng = random.Random(11)
+    top = 1 << (G.order - 1)
+    bitsets = [top, (1 << G.order) - 1] + [rng.getrandbits(G.order) | top for _ in range(10)]
+    for b in bitsets:
+        want = 0
+        for x in range(G.order):
+            if (b >> x) & 1:
+                want |= 1 << proj(x)
+        assert proj.image_bits(b) == want
 
 
 def test_third_isomorphism_fingerprint(groups):
