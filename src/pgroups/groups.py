@@ -216,7 +216,7 @@ class FiniteGroup:
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label}, p={self.p}, order={self.order})"
 
-def generated_elements(G: FiniteGroup, gens: Sequence[int], limit: Optional[int] = None) -> set:
+def generated_elements(G: FiniteGroup, gens: Sequence[int]) -> set:
     """Orbit closure of the identity under right multiplication by gens."""
     seen = {0}
     frontier = [0]
@@ -229,8 +229,6 @@ def generated_elements(G: FiniteGroup, gens: Sequence[int], limit: Optional[int]
                 if y not in seen:
                     seen.add(y)
                     new.append(y)
-                    if limit is not None and len(seen) > limit:
-                        return seen
         frontier = new
     return seen
 

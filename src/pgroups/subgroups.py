@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, InvariantViolation, NotNormal
 from .groups import _TO_FLAGS, FiniteGroup, GroupHom, _from_flags, bits_iter, log_p
@@ -303,13 +303,20 @@ class GroupTables:
       reach, then each kept one that the others reach G without is dropped
       (a search over ``right``, no products).  No proper subset of ``gens``
       generates G, so by the Burnside basis theorem it has d(G) elements;
-    - ``right[k][x] = x g_k`` for each g_k in ``gens``: the greedy pass takes
-      each (x, kept g) product once, so these are the only d(G) |G|
-      products unless the prune drops a generator;
+    - ``right[k][x] = x g_k`` for each g_k in ``gens``: the greedy pass reads
+      each kept generator's whole table from ``right_of``.  By default that
+      takes the |G| products x g with G's own ``mul``, so these are the only
+      d(G) |G| products unless the prune drops a generator.  A group derived
+      from a parent P (``quotient``, ``subgroup_as_group``) passes gathers
+      through P's tables instead and takes no product at all: for G = P/N,
+      (N y) g = N (y g), so the table of gN sends the coset of each
+      representative y to the coset of y g; for G a subgroup H of P, the
+      table of w is P's ``right_mul(elems, w)`` read back as positions in H;
     - a breadth-first word tree: ``x = parent[x] g_(gen[x])``, so ``word(x)``
       spells x in ``gens`` and multiplying a whole list by x is a gather
       along that word;
-    - ``pth``, the map x -> x^p: G's own list (``FiniteGroup.pth_map``);
+    - ``pth``, the map x -> x^p: G's own list (``FiniteGroup.pth_map``).  A
+      derived group has gathered it from P's before its tables are built;
     - ``comm_maps[k]``, the map x -> [x, g_k] as a list, and ``comm[k]``, its
       gather (an itemgetter over the same int objects).  Along the tree,
       [y h, g] = [y, g]^h [h, g] = (g^-1)^(y h) g, so (g^-1)^x is walked
@@ -323,12 +330,20 @@ class GroupTables:
 
     __slots__ = ("gens", "right", "parent", "gen", "pth", "comm_maps", "comm")
 
-    def __init__(self, G: FiniteGroup) -> None:
-        n, mul = G.order, G.mul
-        # one int object per element, shared by every table below
-        ints = list(range(n))
+    def __init__(
+        self, G: FiniteGroup, right_of: Optional[Callable[[int], List[int]]] = None
+    ) -> None:
+        n = G.order
+        if right_of is None:
+            mul = G.mul
+            # one int object per element, shared by every table below
+            ints = list(range(n))
+
+            def right_of(g: int) -> List[int]:
+                return [ints[mul(x, g)] for x in ints]
+
         # greedy pass: keep each listed generator the kept ones do not reach,
-        # and close over it, taking each (x, kept g) product once
+        # and close the reached elements over it
         gens: List[int] = []
         right: List[List[int]] = []
         reached = [0]
@@ -336,19 +351,18 @@ class GroupTables:
         for g in G.generators:
             if seen[g]:
                 continue
-            rg = [0] * n
             gens.append(g)
-            right.append(rg)
+            right.append(rg := right_of(g))
             old = len(reached)
             for x in reached[:old]:
-                rg[x] = y = ints[mul(x, g)]
+                y = rg[x]
                 if not seen[y]:
                     seen[y] = 1
                     reached.append(y)
             # the list iterator also yields the elements appended meanwhile
             for x in islice(reached, old, None):
-                for h, r in zip(gens, right):
-                    r[x] = y = ints[mul(x, h)]
+                for r in right:
+                    y = r[x]
                     if not seen[y]:
                         seen[y] = 1
                         reached.append(y)
@@ -571,27 +585,64 @@ class SubgroupSeries:
 
 
 class _QuotientBackend:
-    """Coset-representative arithmetic for G/N (reps are coset minima)."""
+    """Coset-representative arithmetic for G/N (reps are coset minima).
+
+    The cosets are lookups in G's tables, with no product.  N is normal, so
+    (N y) g = N (y g): a breadth-first search over cosets, starting from N,
+    gathers each new coset N y g_k from its parent coset N y through
+    ``right[k]``, and G's generators reach every coset.  That is |G|
+    lookups in all.  The cosets are then numbered by their least elements,
+    so ``reps`` are the coset minima in increasing order.  ``mul``, the
+    coset of the product of two representatives, serves closures and
+    conjugation in G/N.
+    """
 
     def __init__(self, parent: FiniteGroup, nbits: int):
-        n_elems = list(bits_iter(nbits))
+        right = _tables(parent).right
         coset_of = [-1] * parent.order
-        reps: List[int] = []
-        mul = parent.mul
-        for x in parent.elements():
-            if coset_of[x] >= 0:
-                continue
-            idx = len(reps)
-            reps.append(x)
-            for n in n_elems:
-                coset_of[mul(x, n)] = idx
+        cosets: List[List[int]] = []
+
+        def add(coset: List[int]) -> None:
+            for x in coset:
+                coset_of[x] = len(cosets)
+            cosets.append(coset)
+
+        add(list(bits_iter(nbits)))
+        for coset in cosets:  # the list iterator also yields the cosets appended meanwhile
+            for r in right:
+                if coset_of[r[coset[0]]] < 0:
+                    add(list(map(r.__getitem__, coset)))
+        mins = [min(coset) for coset in cosets]
+        rank = [0] * len(cosets)
+        for i, j in enumerate(sorted(range(len(cosets)), key=mins.__getitem__)):
+            rank[j] = i
         self.parent = parent
-        self.reps = reps
-        self.coset_of = coset_of
-        self.order = len(reps)
+        self.reps = sorted(mins)
+        self.coset_of = list(map(rank.__getitem__, coset_of))
+        self.order = len(cosets)
 
     def mul(self, a: int, b: int) -> int:
         return self.coset_of[self.parent.mul(self.reps[a], self.reps[b])]
+
+
+def _order_exponents(pth: List[int]) -> List[int]:
+    """The order exponents read off a p-th power map.
+
+    x has order p^k for the least k with x^(p^k) = 1, and x^p has order
+    p^(k-1) when x is not the identity.
+    """
+    ordexp = [-1] * len(pth)
+    ordexp[0] = 0
+    for x in range(len(pth)):
+        chain = []
+        while ordexp[x] < 0:
+            chain.append(x)
+            x = pth[x]
+        k = ordexp[x]
+        for y in reversed(chain):
+            k += 1
+            ordexp[y] = k
+    return ordexp
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> Tuple[FiniteGroup, GroupHom]:
@@ -599,7 +650,13 @@ def quotient(G: FiniteGroup, N: Subgroup) -> Tuple[FiniteGroup, GroupHom]:
 
     The projection is a homomorphism by construction: N is checked normal,
     so (aN)(bN) = abN, and Q multiplies two cosets as the coset of the
-    product of their representatives.
+    product of their representatives.  Q's cosets, tables and power maps
+    are lookups in G's tables, with no product of G.  (N y) g = N (y g), so
+    each coset is its parent coset gathered through G's table of g, and
+    Q's table of gN sends the coset of y to the coset of y g.  (xN)^p =
+    x^p N, so Q's p-th power map is the coset of G's.  The order of xN is
+    the least p^k with x^(p^k) in N, so Q's order exponents follow its
+    p-th power map down to the identity coset.
     """
     if not N.is_normal():
         raise NotNormal(f"subgroup of order {N.order} is not normal in {G.label}")
@@ -611,27 +668,39 @@ def quotient(G: FiniteGroup, N: Subgroup) -> Tuple[FiniteGroup, GroupHom]:
         cache[N.bits] = hit
     if hit is None:
         back = _QuotientBackend(G, N.bits)
-        gens = []
+        coset_of, reps = back.coset_of, back.reps
+        lift: Dict[int, int] = {}
         for g in G.generators:
-            q = back.coset_of[g]
-            if q != 0 and q not in gens:
-                gens.append(q)
+            lift.setdefault(coset_of[g], g)
+        lift.pop(0, None)
         Q = FiniteGroup(
             G.p,
             back.order,
             back.mul,
-            gens,
+            list(lift),
             label=f"{G.label}/[{N.order}]",
             backend=back,
         )
-        hom = GroupHom(G, Q, back.coset_of)
+        pth = G.pth_map()
+        Q._pth = [coset_of[pth[x]] for x in reps]
+        Q._ordexp = _order_exponents(Q._pth)
+        T = _tables(G)
+        Q.cache["tables"] = GroupTables(
+            Q, lambda q: list(map(coset_of.__getitem__, T.right_mul(reps, lift[q])))
+        )
+        hom = GroupHom(G, Q, coset_of)
         hit = (Q, hom)
         cache[N.bits] = hit
     return hit
 
 
 def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
-    """A standalone FiniteGroup isomorphic to the subgroup H of G."""
+    """A standalone FiniteGroup isomorphic to the subgroup H of G.
+
+    Its tables and power maps are G's read back as positions in H, with no
+    product: the table of a witness w is G's ``right_mul(elems, w)``, and an
+    element keeps its p-th power and its order.
+    """
     cache = G.cache.setdefault("subgroup_groups", {})
     hit = cache.get(H.bits)
     if hit is None:
@@ -650,6 +719,13 @@ def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
             gens,
             label=f"{G.label}|sub[{H.order}]",
             backend=("subgroup", elems, index_of),
+        )
+        pth = G.pth_map()
+        hit._pth = [index_of[pth[x]] for x in elems]
+        hit._ordexp = list(map(G.order_exponent, elems))
+        T = _tables(G)
+        hit.cache["tables"] = GroupTables(
+            hit, lambda i: list(map(index_of.__getitem__, T.right_mul(elems, elems[i])))
         )
         cache[H.bits] = hit
     return hit

@@ -13,7 +13,9 @@ quotient-group eta machinery (``quotient_upper_eta_series`` and
 (the former cross-check of greedy powerful height) and the closure versions
 of [M, G], M^(p^i) and Omega_i(G) (``closure_commutator_with_group``,
 ``closure_power_subgroup``, ``closure_omega_subgroup``), which the library
-now reads off G's lattice once it is cached.
+now reads off G's lattice once it is cached.  ``product_tables`` multiplies
+out the tables and power maps that quotients and subgroup groups gather
+through their parent's.
 """
 
 from operator import itemgetter
@@ -353,3 +355,27 @@ def closure_power_subgroup(G: FiniteGroup, M: Subgroup, i: int) -> Subgroup:
 def closure_omega_subgroup(G: FiniteGroup, i: int) -> Subgroup:
     """Omega_i(G) as the closure of the elements of order at most p^i."""
     return closure(G, [x for x in G.elements() if G.order_exponent(x) <= i])
+
+
+def product_tables(
+    G: FiniteGroup, gens: List[int]
+) -> Tuple[List[List[int]], List[int], List[int]]:
+    """The tables x -> x g (g in gens), x -> x^p and the order exponents of G, from G.mul alone.
+
+    The order exponent of x is read off the walk x, x^2, ... to the identity.
+    """
+    n, p = G.order, G.p
+    right = [[G.mul(x, g) for x in range(n)] for g in gens]
+    pth = [G.pow(x, p) for x in range(n)]
+    ordexp = []
+    for x in range(n):
+        y, m = x, 1
+        while y:
+            y = G.mul(y, x)
+            m += 1
+        k = 0
+        while p**k < m:
+            k += 1
+        assert p**k == m, (G.label, x, m)
+        ordexp.append(k)
+    return right, pth, ordexp

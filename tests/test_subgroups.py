@@ -4,9 +4,11 @@ from hypothesis import given, settings, strategies as st
 from pgroups import build_abelian
 from pgroups import catalog as cat
 from pgroups.errors import BudgetExceeded, InvariantViolation, NotNormal
+from pgroups.eta_series import upper_eta_series
 from pgroups.groups import FiniteGroup
 from pgroups.subgroups import (
     GroupTables,
+    _tables,
     center,
     closure,
     coclass,
@@ -531,6 +533,52 @@ def test_subgroup_as_group(groups):
         for b in gamma2.elements()
     )
     assert nilpotency_class(S) <= 2
+    # the eta terms that verify's class-of-terms builds as groups: their
+    # gathered tables and power maps must agree with the subgroup's own mul
+    for name, params in cat.suite_instances(729):
+        G = groups(name, **params)
+        for term in upper_eta_series(G).series.terms[1:]:
+            if term.is_whole():
+                continue
+            S = subgroup_as_group(G, term)
+            T = _tables(S)
+            got = (T.right, S.pth_map(), [S.order_exponent(x) for x in S.elements()])
+            assert got == oracles.product_tables(S, T.gens), (name, params, term.order)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("heisenberg", {"p": 3}),
+        ("wreath", {"p": 3}),
+        ("unitriangular", {"n": 3, "p": 3, "m": 1}),
+        ("kirillov_quotient", {"p": 3, "e": 1}),
+        ("mainline_coclass1", {"p": 3, "k": 4}),
+    ],
+)
+def test_derived_groups_take_no_product_of_the_parent(name, params):
+    # once G's tables and lattice exist, a quotient or a subgroup group is
+    # gathered through them: its cosets, tables and power maps take no
+    # product of G, and neither do the groups derived from it in turn
+    G = cat.catalog_build(name, **params)
+    normals = enumerate_normal_subgroups(G)
+    cyclic = closure(G, [G.generators[0]])
+
+    def derive():
+        derived = [quotient(G, N)[0] for N in normals]
+        derived += [subgroup_as_group(G, H) for H in [*normals, cyclic]]
+        Q = derived[1]
+        M = enumerate_normal_subgroups(Q)[1]
+        derived += [quotient(Q, M)[0], subgroup_as_group(Q, M)]
+        for D in derived:
+            _tables(D)
+            D.pth_map()
+            D.exponent()
+        return derived
+
+    derived, products = _counted(G, derive)
+    assert products == 0
+    assert [D.order for D in derived[: len(normals)]] == [G.order // N.order for N in normals]
 
 
 def test_join_and_witnesses(groups):

@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 from pgroups import catalog as cat
+from pgroups import verify
 from pgroups.report import analyze_group
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pgroups"
@@ -124,3 +125,28 @@ def test_default_suite_backend_products_are_bounded():
         G.mul = counting
         analyze_group(G)
     assert calls[0] <= 60_000
+
+
+def test_default_verify_backend_products_are_bounded(monkeypatch):
+    # every quotient and subgroup group that verify builds gathers its
+    # cosets, tables and power maps through its root group's tables; what
+    # is left is the root groups' own tables and power walks and the
+    # closures and conjugations of verify itself: 9,889 products on the 15
+    # groups
+    calls = [0]
+    build = cat.catalog_build
+
+    def counting_build(name, **params):
+        G = build(name, **params)
+        mul = G.mul
+
+        def counting(a, b):
+            calls[0] += 1
+            return mul(a, b)
+
+        G.mul = counting
+        return G
+
+    monkeypatch.setattr(cat, "catalog_build", counting_build)
+    assert all(r.passed for r in verify.run_suites(list(verify.SUITES)))
+    assert calls[0] <= 11_000

@@ -9,7 +9,9 @@ from pgroups.verify import (
 )
 from pgroups.catalog import suite_instances
 from pgroups.eta_series import is_eta_series, upper_eta_series
-from pgroups.subgroups import join, power_subgroup, quotient, trivial_subgroup
+from pgroups.subgroups import _tables, join, power_subgroup, quotient, trivial_subgroup
+
+import oracles
 
 
 def test_each_suite_passes_on_small_orders():
@@ -54,11 +56,22 @@ def test_kirillov_formula_terms_are_subgroups(groups):
     assert [t.order for t in terms] == rep.series.orders()
 
 
+def _check_gathered_tables(Q):
+    # Q's tables and power maps are gathered through its parent's; each one
+    # must equal the same table multiplied out with Q's own mul
+    T = _tables(Q)
+    got = (T.right, Q.pth_map(), [Q.order_exponent(q) for q in Q.elements()])
+    assert got == oracles.product_tables(Q, T.gens), Q.label
+
+
 def test_verify_quotient_projections_are_homomorphisms(groups):
     # Every quotient the eta-lemmas suite builds (the center step
     # G/(eta_{k+1}^p eta_k), G/eta_j, G/eta^p and G/eta), plus G/1.  The
     # projection must be onto and respect x * g for every element x and
-    # generator g, which extends to every product.
+    # generator g, which extends to every product.  The gathered tables and
+    # power maps of Q must agree with Q.mul, every coset representative must
+    # be the least element of its coset, and the cosets are numbered in the
+    # order of their representatives.
     for name, params in suite_instances(729):
         G = groups(name, **params)
         terms = upper_eta_series(G).series.terms
@@ -75,3 +88,11 @@ def test_verify_quotient_projections_are_homomorphisms(groups):
                 if mp[G.mul(x, g)] != Q.mul(mp[x], mp[g])
             ]
             assert not bad, (name, params, N.order, bad[:3])
+            _check_gathered_tables(Q)
+            if not N.is_trivial():  # G/1 is G itself
+                least: dict = {}
+                for x in G.elements():
+                    least.setdefault(mp[x], x)
+                reps = Q.backend.reps
+                assert [least[q] for q in Q.elements()] == reps, (name, params)
+                assert reps == sorted(reps), (name, params)  # numbered by least element
