@@ -263,12 +263,12 @@ def resolve_params(name: str, params: Params) -> Params:
     return out
 
 
-def catalog_instances(name: str, **params: object) -> List[FiniteGroup]:
+def catalog_instances(name: str, /, **params: object) -> List[FiniteGroup]:
     full = resolve_params(name, dict(params))
     return ENTRIES[name].expand(full)
 
 
-def catalog_build(name: str, **params: object) -> FiniteGroup:
+def catalog_build(name: str, /, **params: object) -> FiniteGroup:
     groups = catalog_instances(name, **params)
     if len(groups) != 1:
         raise ParamOutOfRange(

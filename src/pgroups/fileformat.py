@@ -80,20 +80,17 @@ def load_document(doc: object) -> List[FiniteGroup]:
     unknown = set(doc) - allowed
     if unknown:
         raise FormatError(f"unknown fields for kind {kind!r}: {sorted(unknown)}")
-    try:
-        if kind == "pc":
-            return [_load_pc(doc, prime)]
-        if kind == "abelian":
-            return [build_abelian(prime, _int_list(_require(doc, "exps", list, "abelian"), "exps"))]
-        if kind == "unitriangular":
-            n = _require(doc, "n", int, "unitriangular")
-            m = _require(doc, "m", int, "unitriangular")
-            return [build_unitriangular(n, prime, m)]
-        if kind == "semidirect":
-            return [_load_semidirect(doc, prime)]
-        return _load_catalog(doc, prime)
-    except (TypeError,) as exc:
-        raise FormatError(str(exc)) from exc
+    if kind == "pc":
+        return [_load_pc(doc, prime)]
+    if kind == "abelian":
+        return [build_abelian(prime, _int_list(_require(doc, "exps", list, "abelian"), "exps"))]
+    if kind == "unitriangular":
+        n = _require(doc, "n", int, "unitriangular")
+        m = _require(doc, "m", int, "unitriangular")
+        return [build_unitriangular(n, prime, m)]
+    if kind == "semidirect":
+        return [_load_semidirect(doc, prime)]
+    return _load_catalog(doc, prime)
 
 
 def _load_pc(doc: dict, prime: int) -> FiniteGroup:

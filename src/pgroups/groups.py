@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
+from operator import add, truth
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -82,7 +83,6 @@ class FiniteGroup:
         generators: Sequence[int],
         label: str = "group",
         backend: object = None,
-        inv: Optional[Callable[[int], int]] = None,
     ) -> None:
         self.p = p
         self.order = order
@@ -91,7 +91,6 @@ class FiniteGroup:
         self.generators = list(generators)
         self.label = label
         self.backend = backend
-        self._inv_fn = inv
         self._inv: Dict[int, int] = {}
         self._pth: Optional[List[int]] = None
         self._ordexp: Optional[List[int]] = None
@@ -116,10 +115,10 @@ class FiniteGroup:
         return result
 
     def inv(self, x: int) -> int:
-        """x^-1, memoized per element: the backend's inverse, else x^(|G|-1)."""
+        """x^-1 = x^(|G|-1), memoized per element."""
         hit = self._inv.get(x)
         if hit is None:
-            hit = self._inv_fn(x) if self._inv_fn is not None else self.pow(x, self.order - 1)
+            hit = self.pow(x, self.order - 1)
             self._inv[x] = hit
         return hit
 
@@ -134,30 +133,29 @@ class FiniteGroup:
     def pth_map(self) -> List[int]:
         """The cached p-th power map: pth_map()[x] == x**p.  Callers must not mutate it."""
         if self._pth is None:
-            self._build_power_tables()
+            self._pth = self._power_walk()
         return self._pth
 
     def pth_power(self, x: int) -> int:
         return self.pth_map()[x]
 
-    def _build_power_tables(self) -> None:
-        """The p-th power map and the order exponents, from one walk per cyclic subgroup.
+    def _power_walk(self) -> List[int]:
+        """The p-th power map, from one walk per cyclic subgroup.
 
         From each x no earlier walk reached, walk x, x^2, ..., x^m = 1.  With
-        m = p^k, x^i has p-th power x^(ip mod m) and order exponent
-        k - v_p(i).  The walk takes m - 1 products and reaches every
-        generator of <x>, none of which an earlier walk reached (it would
-        have reached x too): at least phi(m) = m (p - 1) / p new elements.
-        So the whole map takes fewer than p (|G| - 1) / (p - 1) products.
-        A walk that passes |G| steps without the identity, or ends at an
-        order that is not a power of p, raises InconsistentPresentation.
+        m = p^k, x^i has p-th power x^(ip mod m).  The walk takes m - 1
+        products and reaches every generator of <x>, none of which an
+        earlier walk reached (it would have reached x too): at least
+        phi(m) = m (p - 1) / p new elements.  So the whole map takes fewer
+        than p (|G| - 1) / (p - 1) products.  A walk that passes |G| steps
+        without the identity, or ends at an order that is not a power of p,
+        raises InconsistentPresentation.
         """
         mul, p, n = self.mul, self.p, self.order
-        pth = [0] * n
-        ordexp = [-1] * n
-        ordexp[0] = 0
+        pth = [-1] * n
+        pth[0] = 0
         for x in range(1, n):
-            if ordexp[x] >= 0:
+            if pth[x] >= 0:
                 continue
             # walk[i] = x^i for 0 <= i < m
             walk = [0, x]
@@ -170,37 +168,28 @@ class FiniteGroup:
                 walk.append(y)
                 y = mul(y, x)
             m = len(walk)
-            k, q = 0, 1
+            q = 1
             while q < m:
                 q *= p
-                k += 1
             if q != m:
                 raise InconsistentPresentation(
                     f"power cycle of element {x} has length {m}, not a power of {p}"
                 )
             for z, zp in zip(walk, walk[::p] * p):
                 pth[z] = zp
-            step = 1
-            while step < m:
-                for z in walk[step::step]:
-                    ordexp[z] = k
-                step *= p
-                k -= 1
-        self._pth = pth
-        self._ordexp = ordexp
+        return pth
 
     def order_exponent(self, x: int) -> int:
         """k such that the order of x is p**k."""
         if self._ordexp is None:
-            self._build_power_tables()
+            self._ordexp = _order_exponents(self.pth_map())
         return self._ordexp[x]
 
     def element_order(self, x: int) -> int:
         return self.p ** self.order_exponent(x)
 
     def exponent(self) -> int:
-        if self._ordexp is None:
-            self._build_power_tables()
+        self.order_exponent(0)  # derives the order exponents once
         return self.p ** max(self._ordexp)
 
     def is_abelian(self) -> bool:
@@ -216,21 +205,20 @@ class FiniteGroup:
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label}, p={self.p}, order={self.order})"
 
-def generated_elements(G: FiniteGroup, gens: Sequence[int]) -> set:
-    """Orbit closure of the identity under right multiplication by gens."""
-    seen = {0}
-    frontier = [0]
-    mul = G.mul
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return seen
+def _order_exponents(pth: List[int]) -> List[int]:
+    """The order exponents read off a p-th power map, the only place they are derived.
+
+    x has order p^k for the least k with x^(p^k) = 1, so k counts the i >= 0
+    with x^(p^i) != 1.  One whole-list pass per i adds them up: log_p of the
+    exponent of G passes in all.
+    """
+    ordexp = [1] * len(pth)
+    ordexp[0] = 0
+    powers = pth  # powers[x] = x^(p^i) for i = 1, 2, ...
+    while any(powers):
+        ordexp = list(map(add, ordexp, map(truth, powers)))
+        powers = list(map(pth.__getitem__, powers))
+    return ordexp
 
 
 # bytes.translate maps between the digits of bin() and 0/1 membership flags
@@ -253,7 +241,7 @@ class GroupHom:
     """A homomorphism between explicit groups, stored as a total index map.
 
     Nothing is checked here: the only maps built are quotient projections,
-    which are homomorphisms by construction (see ``subgroups.quotient``).
+    which are homomorphisms by construction (see ``subgroups._derived_group``).
     """
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup, mapping: Sequence[int]):
@@ -510,13 +498,6 @@ class _AbelianBackend:
             a, b = a2, b2
         return x
 
-    def inv(self, a: int) -> int:
-        x = 0
-        for r, s in zip(self.radices, self.strides):
-            a, d = divmod(a, r)
-            x += (-d) % r * s
-        return x
-
 
 def build_abelian(p: int, exps: Sequence[int], label: Optional[str] = None) -> FiniteGroup:
     """Direct product of cyclic groups of orders p^e for e in exps.
@@ -536,7 +517,6 @@ def build_abelian(p: int, exps: Sequence[int], label: Optional[str] = None) -> F
         list(back.strides),
         label=label or "C" + "xC".join(str(p**e) for e in exps),
         backend=back,
-        inv=back.inv,
     )
     G._abelian = True
     return G
@@ -602,7 +582,9 @@ class _UnitriangularBackend:
 def build_unitriangular(n: int, p: int, m: int, label: Optional[str] = None) -> FiniteGroup:
     """Upper unitriangular n x n matrices over Z/p^m, order p^(m n(n-1)/2).
 
-    Correct by construction: the product is the matrix product mod p^m.
+    Correct by construction: the product is the matrix product mod p^m.  The
+    listed generators are the superdiagonal transvections; ``GroupTables``
+    certifies that they reach every element before any lattice reads G.
     """
     validate_odd_prime(p)
     if n < 2:
@@ -612,14 +594,9 @@ def build_unitriangular(n: int, p: int, m: int, label: Optional[str] = None) -> 
     back = _UnitriangularBackend(n, p, m)
     _check_cap(back.order, f"UT_{n}(Z/{p}^{m})")
     gens = [back.transvection(i) for i in range(n - 1)]
-    G = FiniteGroup(
+    return FiniteGroup(
         p, back.order, back.mul, gens, label=label or f"UT{n}(Z/{p**m})", backend=back
     )
-    if back.order <= 32768:
-        # Superdiagonal transvections must generate the whole group.
-        if len(generated_elements(G, gens)) != back.order:
-            raise OrderMismatch("transvections do not generate the unitriangular group")
-    return G
 
 
 # -- semidirect products C_{p^t} acting on an abelian group ----------------

@@ -149,11 +149,11 @@ def _close(
     return witnesses
 
 
-def closure(G: FiniteGroup, gens: Iterable[int], normal: Optional[bool] = None) -> Subgroup:
+def closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing gens (worklist closure)."""
     flags = _flags(G, 1)
     witnesses = _close(G, flags, [0], [], gens)
-    return Subgroup(G, _from_flags(flags), witnesses, normal=normal)
+    return Subgroup(G, _from_flags(flags), witnesses)
 
 
 def _reduce_witnesses(G: FiniteGroup, bits: int) -> List[int]:
@@ -306,17 +306,15 @@ class GroupTables:
     - ``right[k][x] = x g_k`` for each g_k in ``gens``: the greedy pass reads
       each kept generator's whole table from ``right_of``.  By default that
       takes the |G| products x g with G's own ``mul``, so these are the only
-      d(G) |G| products unless the prune drops a generator.  A group derived
-      from a parent P (``quotient``, ``subgroup_as_group``) passes gathers
-      through P's tables instead and takes no product at all: for G = P/N,
-      (N y) g = N (y g), so the table of gN sends the coset of each
-      representative y to the coset of y g; for G a subgroup H of P, the
-      table of w is P's ``right_mul(elems, w)`` read back as positions in H;
+      d(G) |G| products unless the prune drops a generator.  A quotient or a
+      subgroup group passes gathers through its parent's tables instead and
+      takes no product at all (``_derived_group``);
     - a breadth-first word tree: ``x = parent[x] g_(gen[x])``, so ``word(x)``
       spells x in ``gens`` and multiplying a whole list by x is a gather
       along that word;
     - ``pth``, the map x -> x^p: G's own list (``FiniteGroup.pth_map``).  A
-      derived group has gathered it from P's before its tables are built;
+      derived group has gathered it from its parent's before its tables are
+      built;
     - ``comm_maps[k]``, the map x -> [x, g_k] as a list, and ``comm[k]``, its
       gather (an itemgetter over the same int objects).  Along the tree,
       [y h, g] = [y, g]^h [h, g] = (g^-1)^(y h) g, so (g^-1)^x is walked
@@ -326,6 +324,9 @@ class GroupTables:
       dropped once the gathers are built.
 
     Raises InvariantViolation when the generators do not reach every element.
+    That reach check is the one certificate that ``G.generators`` generate G,
+    at every order, and it runs before any lattice, center or quotient reads
+    the tables.
     """
 
     __slots__ = ("gens", "right", "parent", "gen", "pth", "comm_maps", "comm")
@@ -585,16 +586,15 @@ class SubgroupSeries:
 
 
 class _QuotientBackend:
-    """Coset-representative arithmetic for G/N (reps are coset minima).
+    """The cosets of N in G, numbered by their least elements.
 
     The cosets are lookups in G's tables, with no product.  N is normal, so
     (N y) g = N (y g): a breadth-first search over cosets, starting from N,
     gathers each new coset N y g_k from its parent coset N y through
     ``right[k]``, and G's generators reach every coset.  That is |G|
     lookups in all.  The cosets are then numbered by their least elements,
-    so ``reps`` are the coset minima in increasing order.  ``mul``, the
-    coset of the product of two representatives, serves closures and
-    conjugation in G/N.
+    so ``reps`` are the coset minima in increasing order and ``coset_of[x]``
+    is the number of xN.
     """
 
     def __init__(self, parent: FiniteGroup, nbits: int):
@@ -616,47 +616,60 @@ class _QuotientBackend:
         rank = [0] * len(cosets)
         for i, j in enumerate(sorted(range(len(cosets)), key=mins.__getitem__)):
             rank[j] = i
-        self.parent = parent
         self.reps = sorted(mins)
         self.coset_of = list(map(rank.__getitem__, coset_of))
-        self.order = len(cosets)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.coset_of[self.parent.mul(self.reps[a], self.reps[b])]
 
 
-def _order_exponents(pth: List[int]) -> List[int]:
-    """The order exponents read off a p-th power map.
+def _derived_group(
+    G: FiniteGroup,
+    elems: List[int],
+    position: Callable[[int], int],
+    lifts: Iterable[int],
+    label: str,
+    backend: object,
+) -> FiniteGroup:
+    """The group on positions 0..len(elems)-1 that G induces: position i stands for elems[i].
 
-    x has order p^k for the least k with x^(p^k) = 1, and x^p has order
-    p^(k-1) when x is not the identity.
+    A quotient G/N passes its coset representatives, with the coset numbering
+    as ``position``; a subgroup H passes its elements, with their index.  The
+    product of i and j is ``position(elems[i] elems[j])``, so ``position`` is
+    a homomorphism by construction: it is a bijection on H, and for normal N,
+    (aN)(bN) = abN.  The generators are the positions of ``lifts``, the first
+    lift at each position, with the identity dropped.
+
+    Nothing else takes a product of G; it is read off G's tables.  (xN)^p =
+    x^p N, and H keeps G's p-th powers, so the p-th power map is ``position``
+    of G's, and ``FiniteGroup.order_exponent`` derives the order exponents
+    from it (the order of xN is the least p^k with x^(p^k) in N).  (N y) g =
+    N (y g), so the table of a generator with lift g sends the position of
+    each y in elems to the position of y g: G's ``right_mul(elems, g)`` read
+    through ``position``.
     """
-    ordexp = [-1] * len(pth)
-    ordexp[0] = 0
-    for x in range(len(pth)):
-        chain = []
-        while ordexp[x] < 0:
-            chain.append(x)
-            x = pth[x]
-        k = ordexp[x]
-        for y in reversed(chain):
-            k += 1
-            ordexp[y] = k
-    return ordexp
+    lift: Dict[int, int] = {}
+    for g in lifts:
+        lift.setdefault(position(g), g)
+    lift.pop(0, None)
+    mul = G.mul
+    D = FiniteGroup(
+        G.p,
+        len(elems),
+        lambda a, b: position(mul(elems[a], elems[b])),
+        list(lift),
+        label=label,
+        backend=backend,
+    )
+    pth = G.pth_map()
+    D._pth = [position(pth[x]) for x in elems]
+    T = _tables(G)
+    D.cache["tables"] = GroupTables(D, lambda i: list(map(position, T.right_mul(elems, lift[i]))))
+    return D
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> Tuple[FiniteGroup, GroupHom]:
     """G/N on coset representatives, plus the projection homomorphism.
 
-    The projection is a homomorphism by construction: N is checked normal,
-    so (aN)(bN) = abN, and Q multiplies two cosets as the coset of the
-    product of their representatives.  Q's cosets, tables and power maps
-    are lookups in G's tables, with no product of G.  (N y) g = N (y g), so
-    each coset is its parent coset gathered through G's table of g, and
-    Q's table of gN sends the coset of y to the coset of y g.  (xN)^p =
-    x^p N, so Q's p-th power map is the coset of G's.  The order of xN is
-    the least p^k with x^(p^k) in N, so Q's order exponents follow its
-    p-th power map down to the identity coset.
+    N is checked normal, and Q is built by ``_derived_group`` on the coset
+    minima, so the projection x -> xN is a homomorphism by construction.
     """
     if not N.is_normal():
         raise NotNormal(f"subgroup of order {N.order} is not normal in {G.label}")
@@ -668,64 +681,25 @@ def quotient(G: FiniteGroup, N: Subgroup) -> Tuple[FiniteGroup, GroupHom]:
         cache[N.bits] = hit
     if hit is None:
         back = _QuotientBackend(G, N.bits)
-        coset_of, reps = back.coset_of, back.reps
-        lift: Dict[int, int] = {}
-        for g in G.generators:
-            lift.setdefault(coset_of[g], g)
-        lift.pop(0, None)
-        Q = FiniteGroup(
-            G.p,
-            back.order,
-            back.mul,
-            list(lift),
-            label=f"{G.label}/[{N.order}]",
-            backend=back,
+        Q = _derived_group(
+            G, back.reps, back.coset_of.__getitem__, G.generators,
+            f"{G.label}/[{N.order}]", back,
         )
-        pth = G.pth_map()
-        Q._pth = [coset_of[pth[x]] for x in reps]
-        Q._ordexp = _order_exponents(Q._pth)
-        T = _tables(G)
-        Q.cache["tables"] = GroupTables(
-            Q, lambda q: list(map(coset_of.__getitem__, T.right_mul(reps, lift[q])))
-        )
-        hom = GroupHom(G, Q, coset_of)
-        hit = (Q, hom)
+        hit = (Q, GroupHom(G, Q, back.coset_of))
         cache[N.bits] = hit
     return hit
 
 
 def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
-    """A standalone FiniteGroup isomorphic to the subgroup H of G.
-
-    Its tables and power maps are G's read back as positions in H, with no
-    product: the table of a witness w is G's ``right_mul(elems, w)``, and an
-    element keeps its p-th power and its order.
-    """
+    """A standalone FiniteGroup isomorphic to the subgroup H of G, built by ``_derived_group``."""
     cache = G.cache.setdefault("subgroup_groups", {})
     hit = cache.get(H.bits)
     if hit is None:
         elems = list(H.elements())
         index_of = {x: i for i, x in enumerate(elems)}
-        mul = G.mul
-
-        def submul(a: int, b: int, _elems=elems, _idx=index_of) -> int:
-            return _idx[mul(_elems[a], _elems[b])]
-
-        gens = [index_of[w] for w in H.witness_list()]
-        hit = FiniteGroup(
-            G.p,
-            len(elems),
-            submul,
-            gens,
-            label=f"{G.label}|sub[{H.order}]",
-            backend=("subgroup", elems, index_of),
-        )
-        pth = G.pth_map()
-        hit._pth = [index_of[pth[x]] for x in elems]
-        hit._ordexp = list(map(G.order_exponent, elems))
-        T = _tables(G)
-        hit.cache["tables"] = GroupTables(
-            hit, lambda i: list(map(index_of.__getitem__, T.right_mul(elems, elems[i])))
+        hit = _derived_group(
+            G, elems, index_of.__getitem__, H.witness_list(),
+            f"{G.label}|sub[{H.order}]", ("subgroup", elems, index_of),
         )
         cache[H.bits] = hit
     return hit

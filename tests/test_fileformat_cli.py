@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pgroups import cli, errors
+from pgroups import cli, errors, fileformat
 from pgroups.cli import main
 from pgroups.errors import FormatError
 from pgroups.fileformat import (
@@ -122,6 +122,24 @@ def test_prime_mismatch_rejected():
     }
     with pytest.raises(FormatError):
         load_document(doc)
+
+
+def test_catalog_name_as_a_param_is_malformed_input(tmp_path, capsys):
+    path = tmp_path / "name_param.json"
+    path.write_text(json.dumps({"format": "pgroup-v1", "prime": 3, "kind": "catalog",
+                                "name": "abelian", "params": {"exps": [1], "name": 1}}))
+    assert main(["analyze", str(path)]) == 2
+    assert "does not take parameters" in capsys.readouterr().err
+
+
+def test_internal_type_error_is_not_malformed_input(monkeypatch):
+    # a bug in a builder surfaces as itself, never as a FormatError
+    def broken(*args, **kwargs):
+        raise TypeError("bug in a builder")
+
+    monkeypatch.setattr(fileformat, "build_abelian", broken)
+    with pytest.raises(TypeError, match="bug in a builder"):
+        load_document({"format": "pgroup-v1", "prime": 3, "kind": "abelian", "exps": [1]})
 
 
 # -- CLI -----------------------------------------------------------------------

@@ -22,7 +22,8 @@ from pgroups import (
     build_unitriangular,
     validate_odd_prime,
 )
-from pgroups.subgroups import center, quotient, trivial_subgroup, whole_subgroup
+from pgroups.groups import _UnitriangularBackend
+from pgroups.subgroups import _tables, center, quotient, trivial_subgroup, whole_subgroup
 
 import oracles
 
@@ -291,6 +292,22 @@ def test_unitriangular_coordinates_roundtrip():
     for i, g in enumerate(G.generators):
         mat = back.matrix_of(g)
         assert mat[i][i + 1] == 1
+
+
+def test_unitriangular_build_takes_no_product(monkeypatch):
+    # that the transvections generate is certified once, by the tables'
+    # reach check, and not again by a sweep at build time
+    calls = [0]
+    mul = _UnitriangularBackend.mul
+
+    def counting(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(_UnitriangularBackend, "mul", counting)
+    G = build_unitriangular(3, 3, 2)
+    assert calls[0] == 0
+    assert _tables(G).gens == G.generators
 
 
 def test_unitriangular_size_cap():

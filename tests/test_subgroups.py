@@ -475,6 +475,13 @@ def test_lattice_tables_edge_groups(groups):
         GroupTables(G)
     with pytest.raises(InvariantViolation):
         enumerate_normal_subgroups(G)
+    # UT_3(Z/3) listing one transvection, which generates a subgroup of order 3
+    U = groups("unitriangular", n=3, p=3, m=1)
+    G = FiniteGroup(3, U.order, U.mul, U.generators[:1], label="UT3 on one transvection")
+    with pytest.raises(InvariantViolation):
+        GroupTables(G)
+    with pytest.raises(InvariantViolation):
+        enumerate_normal_subgroups(G)
 
 
 @pytest.mark.parametrize(
