@@ -15,7 +15,8 @@ of [M, G], M^(p^i) and Omega_i(G) (``closure_commutator_with_group``,
 ``closure_power_subgroup``, ``closure_omega_subgroup``), which the library
 now reads off G's lattice once it is cached.  ``product_tables`` multiplies
 out the tables and power maps that quotients and subgroup groups gather
-through their parent's.
+through their parent's.  ``gaussian_binomial`` is a closed-form count of
+subspaces, independent of any enumeration.
 """
 
 from operator import itemgetter
@@ -379,3 +380,12 @@ def product_tables(
         assert p**k == m, (G.label, x, m)
         ordexp.append(k)
     return right, pth, ordexp
+
+
+def gaussian_binomial(k: int, j: int, q: int) -> int:
+    """[k choose j]_q: the number of j-dimensional subspaces of F_q^k."""
+    num = den = 1
+    for i in range(j):
+        num *= q ** (k - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den

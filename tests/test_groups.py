@@ -9,6 +9,7 @@ from pgroups import (
     FiniteGroup,
     InconsistentPresentation,
     InvalidWord,
+    InvariantViolation,
     NotAbelian,
     NotAutomorphism,
     NotOddPrime,
@@ -22,7 +23,7 @@ from pgroups import (
     build_unitriangular,
     validate_odd_prime,
 )
-from pgroups.groups import _UnitriangularBackend
+from pgroups.groups import _PcBackend, _UnitriangularBackend
 from pgroups.subgroups import _tables, center, quotient, trivial_subgroup, whole_subgroup
 
 import oracles
@@ -230,10 +231,15 @@ def test_pc_rejection_names_the_failing_overlap(overlap, pres):
         assert oracles.sweep_pc_group(pres) is None
 
 
+# class 2 of order 3^7: g_1^3 = g_6, [g_2, g_1] = g_7, with g_6 and g_7 central
+CLASS2_3_7 = PcPresentation(3, 7, powers={1: ((6, 1),)}, conjugates={(2, 1): ((2, 1), (7, 1))})
+
+# the modular group of order 27: g_2 of order 9, g_2^(g_1) = g_2^4
+MODULAR_27 = PcPresentation(3, 3, powers={2: ((3, 1),)}, conjugates={(2, 1): ((2, 1), (3, 1))})
+
+
 def test_pc_inverse_is_one_power():
-    # class 2 of order 3^7: g_1^3 = g_6, [g_2, g_1] = g_7, with g_6 and g_7 central
-    pres = PcPresentation(3, 7, powers={1: ((6, 1),)}, conjugates={(2, 1): ((2, 1), (7, 1))})
-    G = build_from_pc(pres)
+    G = build_from_pc(CLASS2_3_7)
     calls = [0]
     mul = G.mul
 
@@ -250,12 +256,52 @@ def test_pc_inverse_is_one_power():
 
 
 def test_pc_modular_group_exponent():
-    pres = PcPresentation(
-        3, 3, powers={2: ((3, 1),)}, conjugates={(2, 1): ((2, 1), (3, 1))}
-    )
-    G = build_from_pc(pres)
+    G = build_from_pc(MODULAR_27)
     assert G.order == 27
     assert G.exponent() == 9
+
+
+def _class4_pres_5_5(powers):
+    """Order 5^5, class 4: g_j^(g_1) = g_j g_(j+1) for j = 2..4."""
+    conjugates = {(j, 1): ((j, 1), (j + 1, 1)) for j in (2, 3, 4)}
+    return PcPresentation(5, 5, powers=powers, conjugates=conjugates)
+
+
+@pytest.mark.parametrize(
+    "pres, exponent",
+    [
+        pytest.param(heisenberg_pres(), 3, id="heisenberg"),
+        pytest.param(MODULAR_27, 9, id="modular-27"),
+        pytest.param(class2_pres_3_8(), 9, id="class2-3^8"),
+        pytest.param(CLASS2_3_7, 9, id="class2-3^7"),
+        # class 4: multi-letter conjugates whose tails are not central
+        pytest.param(_class4_pres_5_5({}), 5, id="class4-5^5"),
+        # g_1^5 = g_5 != 1 takes the fill's branch through w_1 = g_1^p
+        pytest.param(_class4_pres_5_5({1: ((5, 1),)}), 25, id="class4-5^5-power"),
+    ],
+)
+def test_pc_filled_tables_match_collection(pres, exponent):
+    G = build_from_pc(pres)
+    assert G.exponent() == exponent
+    fresh = _PcBackend(pres)  # never filled: every entry is collected
+    for i in range(1, pres.ngens + 1):
+        assert G.backend._tab[i] == [fresh.mul_gen(u, i) for u in range(G.order)]
+
+
+def test_pc_fill_is_cross_checked_against_collection(monkeypatch):
+    # an entry the overlap test collected that disagrees with the fill is a
+    # library bug, never an inconsistent presentation
+    fill = _PcBackend._fill_tables
+
+    def corrupting(back):
+        tab = back._tab[2]
+        u = next(u for u, v in enumerate(tab) if v >= 0)
+        tab[u] = (tab[u] + 1) % back.order
+        fill(back)
+
+    monkeypatch.setattr(_PcBackend, "_fill_tables", corrupting)
+    with pytest.raises(InvariantViolation, match="times g_2 collects to"):
+        build_from_pc(class2_pres_3_8())
 
 
 # -- unitriangular -------------------------------------------------------------

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -297,6 +299,15 @@ def test_enumerate_normal_oracle_small(groups):
         want = oracles.naive_normal_subgroups(table)
         got = {frozenset(N.elements()) for N in enumerate_normal_subgroups(G)}
         assert got == want, f"{name} {params}"
+
+
+@pytest.mark.parametrize("p, k", [(3, 5), (5, 4), (7, 3)])
+def test_enumerate_elementary_abelian_matches_gaussian_binomials(groups, p, k):
+    # every subgroup of (C_p)^k is normal, and those of order p^j are the
+    # j-dimensional subspaces of F_p^k
+    G = groups("abelian", p=p, exps=(1,) * k)
+    counts = Counter(N.order for N in enumerate_normal_subgroups(G))
+    assert counts == {p**j: oracles.gaussian_binomial(k, j, p) for j in range(k + 1)}
 
 
 def test_enumerate_matches_central_extension_oracle(groups):

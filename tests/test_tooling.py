@@ -1,9 +1,13 @@
 import ast
 from pathlib import Path
 
+from pgroups import build_from_pc
 from pgroups import catalog as cat
 from pgroups import verify
+from pgroups.groups import _PcBackend
 from pgroups.report import analyze_group
+
+from test_groups import class2_pres_3_8
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pgroups"
 
@@ -180,3 +184,19 @@ def test_default_verify_backend_products_are_bounded(monkeypatch):
     monkeypatch.setattr(cat, "catalog_build", counting_build)
     assert all(r.passed for r in verify.run_suites(list(verify.SUITES)))
     assert calls[0] <= 11_000
+
+
+def test_pc_build_collects_only_the_overlaps(monkeypatch):
+    # decode runs once per collection miss: the overlap test collects 536 of
+    # the 52,488 table entries of the 3^8 presentation, and the bulk fill and
+    # the power walk over the filled tables collect none
+    calls = [0]
+    decode = _PcBackend.decode
+
+    def counting(back, x):
+        calls[0] += 1
+        return decode(back, x)
+
+    monkeypatch.setattr(_PcBackend, "decode", counting)
+    build_from_pc(class2_pres_3_8())
+    assert calls[0] <= 1_000
