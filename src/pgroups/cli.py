@@ -42,10 +42,21 @@ def _json_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1, else argparse exits 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _budget_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--budget",
-        type=int,
+        type=_positive_int,
         default=sg.NORMAL_SUBGROUP_BUDGET,
         help="cap on the normal subgroups of each input group (exit 3 beyond it)",
     )
@@ -222,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     orders.add_argument(
         "--max-order",
-        type=int,
+        type=_positive_int,
         default=None,
         help="largest group order the verify suites touch (default 729)",
     )

@@ -20,7 +20,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from .errors import (
     InconsistentPresentation,
     InvalidWord,
-    InvariantViolation,
     NotAbelian,
     NotAutomorphism,
     NotOddPrime,
@@ -308,30 +307,25 @@ class PcPresentation:
 
 
 class _PcBackend:
-    """Right tables of a pc presentation, collected from the left on a miss.
+    """Right tables of a pc presentation, every one filled at construction.
 
     Elements are exponent vectors in {0..p-1}^n, encoded radix-p with g_1 as
     the most significant digit; the identity is 0 and g_i has index
-    p^(n-i).  ``_tab[i][u]`` is u g_i in normal form, or -1 while it has not
-    been collected.  ``mul_gen`` reads the table and collects from the left
-    on a miss; ``mul`` folds the digits of b through the tables.  A backend
-    nobody filled therefore collects every product it is asked for, which is
-    what an uncertified (possibly inconsistent) presentation needs.  Once the
-    overlap test has certified the presentation, ``_fill_tables`` fills every
-    table in bulk, and every later product is table lookups.
+    p^(n-i).  ``_tab[i][u]`` is u g_i in normal form, and ``mul`` folds the
+    digits of b through the tables.  The tables are filled for any
+    validated presentation, consistent or not (``_fill_tables``); whether
+    their product is a group is the overlap test's question
+    (``_check_pc_consistency``).
     """
 
     def __init__(self, pres: PcPresentation):
-        self.pres = pres
         self.p = pres.p
         self.n = pres.ngens
         self.order = pres.p ** pres.ngens
-        # Conjugate/power words normalized to tuples, with identity defaults.
-        self._powers = {i: tuple(w) for i, w in pres.powers.items()}
-        self._conj = {k: tuple(w) for k, w in pres.conjugates.items()}
         self._strides = [self.p ** (self.n - i) for i in range(1, self.n + 1)]
         # _tab[i] for i = 1..n; _tab[0] is unused
-        self._tab: List[List[int]] = [[]] + [[-1] * self.order for _ in range(self.n)]
+        self._tab: List[List[int]] = [[] for _ in range(self.n + 1)]
+        self._fill_tables(pres)
 
     def decode(self, x: int) -> List[int]:
         out = []
@@ -339,12 +333,6 @@ class _PcBackend:
             d, x = divmod(x, s)
             out.append(d)
         return out
-
-    def encode(self, vec: Sequence[int]) -> int:
-        x = 0
-        for d, s in zip(vec, self._strides):
-            x += d * s
-        return x
 
     def generator(self, i: int) -> int:
         return self._strides[i - 1]
@@ -358,34 +346,6 @@ class _PcBackend:
         ]
         return " ".join(letters) or "1"
 
-    def mul_gen(self, u: int, i: int) -> int:
-        """Normal form of u * g_i: a table lookup, collected from the left on a miss."""
-        tab = self._tab[i]
-        hit = tab[u]
-        if hit >= 0:
-            return hit
-        e = self.decode(u)
-        pending: List[Tuple[int, int]] = []
-        head = e[:]
-        for j in range(i, self.n):
-            head[j] = 0
-        head[i - 1] = e[i - 1] + 1
-        if head[i - 1] == self.p:
-            head[i - 1] = 0
-            pending.extend(self._powers.get(i, ()))
-        for j in range(i + 1, self.n + 1):
-            ej = e[j - 1]
-            if ej:
-                # (g_j^{e_j})^{g_i} = (g_j^{g_i})^{e_j}
-                w = self._conj.get((j, i), ((j, 1),))
-                pending.extend(w * ej)
-        result = self.encode(head)
-        for gen, exp in pending:
-            for _ in range(exp):
-                result = self.mul_gen(result, gen)
-        tab[u] = result
-        return result
-
     def mul(self, a: int, b: int) -> int:
         """a * b, with the letters of b's normal word applied one table at a time."""
         tabs = self._tab
@@ -394,49 +354,51 @@ class _PcBackend:
                 d, b = divmod(b, s)
                 tab = tabs[j]
                 while d:
-                    ab = tab[a]
-                    a = ab if ab >= 0 else self.mul_gen(a, j)
+                    a = tab[a]
                     d -= 1
         return a
 
-    def _fill_tables(self) -> None:
-        """Fill the table u -> u g_i of every generator in bulk, from g_n up to g_1.
+    def _fill_tables(self, pres: PcPresentation) -> None:
+        """Fill the table u -> u g_i of every generator, from g_n up to g_1.
 
-        Only for a presentation the overlap test has certified.  A consistent
-        presentation defines a group of order p^n in which every element has
-        exactly one normal word, so any two computations of u g_i that use
-        only group identities give the same index.  Collection is one such
-        computation; the following is another (the cyclic-extension argument
-        behind the consistency theorem).  Let s = p^(n-i), so that the
-        indices 0..s-1 are the normal subgroup G_(i+1) = <g_(i+1), ..., g_n>
-        of G_i, and suppose the tables of g_(i+1), ..., g_n are done.
+        Let s = p^(n-i), so that the indices 0..s-1 are the normal words of
+        G_(i+1) = <g_(i+1), ..., g_n>, and suppose the tables of g_(i+1),
+        ..., g_n are done.  Write w_i for the word of g_i^p (in G_(i+1)).
 
         - c[t] = t^(g_i) for t in G_(i+1): c[0] = 0, and for t = t' g_j with
-          g_j the last letter of t, c[t] = c[t'] (g_j^(g_i)), since
-          conjugation is a homomorphism.  The relation word g_j^(g_i) lies in
-          <g_j, ..., g_n> and is applied letter by letter through the
-          finished tables.
-        - L[t] = w_i t with w_i = g_i^p in G_(i+1): L[0] = w_i and
-          L[t' g_j] = L[t'] g_j.
+          g_j the last letter of t, c[t] = c[t'] (g_j^(g_i)).  The relation
+          word g_j^(g_i) lies in <g_j, ..., g_n> and is applied letter by
+          letter through the finished tables.
+        - L[t] = w_i t: L[0] = w_i and L[t' g_j] = L[t'] g_j.
         - Write u = h + e s + t with h the head in g_1..g_(i-1), 0 <= e < p
           and t in G_(i+1), that is u = h g_i^e t.  Then
           u g_i = h g_i^(e+1) t^(g_i), whose normal word is h + (e+1) s + c[t]
           for e < p - 1 and h + L[c[t]] for e = p - 1.  The block of
           p s entries after each head is the same, offset by h.
 
-        Each entry the overlap test collected must equal the filled one;
-        a mismatch is a bug in collection or in this fill and raises
-        InvariantViolation.
+        Every step is a rewrite by the relations: moving g_i left through t
+        by the conjugate relations, replacing g_i^p by w_i, and multiplying
+        in G_(i+1) through tables whose entries are themselves such
+        rewrites.  So each entry is a normal word that the relations rewrite
+        the word nf(u) g_i to, whether or not the presentation is
+        consistent, and a product through the tables is a collection.  That
+        is all the overlap test needs: the rewriting terminates, so by the
+        critical-pair lemma with Newman's lemma (Sims, *Computation with
+        Finitely Presented Groups*, 1994, ch. 9; Vaughan-Lee 1990) the
+        presentation is consistent exactly when each overlap collects to one
+        normal word both ways, for any collection that reaches normal words.
+        In a consistent presentation every element has one normal word, so
+        the entries are the products of the group.
         """
-        p, order, tabs = self.p, self.order, self._tab
+        p, order, tabs, strides = self.p, self.order, self._tab, self._strides
         for i in range(self.n, 0, -1):
-            s = self._strides[i - 1]
+            s = strides[i - 1]
             c = [0] * s
             L = [0] * s
-            L[0] = sum(e * self._strides[g - 1] for g, e in self._powers.get(i, ()))
+            L[0] = sum(e * strides[g - 1] for g, e in pres.powers.get(i, ()))
             for j in range(i + 1, self.n + 1):
-                sj = self._strides[j - 1]
-                word = self._conj.get((j, i), ((j, 1),))
+                sj = strides[j - 1]
+                word = pres.conjugates.get((j, i), ((j, 1),))
                 letters = [tabs[g] for g, e in word for _ in range(e)]
                 # the t ending in g_j^e are e sj + k p sj for k >= 0; t' = t - sj
                 # ends in g_j^(e-1) or in an earlier letter, so c[t'] is done
@@ -448,25 +410,15 @@ class _PcBackend:
                     L[e * sj :: p * sj] = map(tabs[j].__getitem__, L[(e - 1) * sj :: p * sj])
             block = [a + ct for a in range(s, p * s, s) for ct in c]
             block += map(L.__getitem__, c)
-            filled = [h + b for h in range(0, order, p * s) for b in block]
-            collected = tabs[i]
-            for u in compress(range(order), map((-1).__ne__, collected)):
-                if collected[u] != filled[u]:
-                    raise InvariantViolation(
-                        f"{self.word(u)} times g_{i} collects to {self.word(collected[u])} "
-                        f"but fills to {self.word(filled[u])}"
-                    )
-            tabs[i] = filled
+            tabs[i] = [h + b for h in range(0, order, p * s) for b in block]
 
 
 def build_from_pc(pres: PcPresentation, label: Optional[str] = None) -> FiniteGroup:
     """Realize a pc presentation as an explicit group of order p^ngens.
 
-    Consistency is certified exactly, at every order, by the finite overlap
-    test (``_check_pc_consistency``), whose collections run from the left.
-    The right tables of the generators are then filled in bulk, and the
-    check that every element has p-power order reaching the identity walks
-    over them.
+    The backend fills the right table of every generator; consistency is
+    then certified exactly, at every order, by the finite overlap test
+    (``_check_pc_consistency``) over those tables.
     """
     pres.validate()
     order = _check_cap(pres.p ** pres.ngens, "pc group")
@@ -489,11 +441,10 @@ def _check_pc_consistency(G: FiniteGroup, back: _PcBackend) -> None:
     With every relative order p, the presentation is consistent exactly when
     both collections of each overlap agree (Wamsley 1974; Vaughan-Lee 1990):
     g_k g_j g_i for k > j > i, g_j^p g_i and g_j g_i^p for j > i, and
-    g_i^(p+1).  That is O(n^3) collections from the left, through the
-    backend's tables while they are still unfilled.  Overlaps are taken from
-    g_n down, so the first failure lies in the largest inconsistent tail
-    <g_i, ..., g_n>.  Once every overlap agrees, the tables are filled in
-    bulk (``_PcBackend._fill_tables``), and the power walk runs over them.
+    g_i^(p+1).  That is O(n^3) products through the backend's filled
+    tables, which are a collection (see ``_PcBackend._fill_tables``).
+    Overlaps are taken from g_n down, so the first failure lies in the
+    largest inconsistent tail <g_i, ..., g_n>.
     """
     mul, pw, p = G.mul, G.pow, G.p
     gens = [0] + G.generators  # gens[i] is g_i
@@ -529,11 +480,9 @@ def _check_pc_consistency(G: FiniteGroup, back: _PcBackend) -> None:
                     f"({sk} {sj}) {si}", mul(mul(gk, gj), gi),
                     f"{sk} ({sj} {si})", mul(gk, gjgi),
                 )
-    back._fill_tables()
-    # Order check: every element's powers x, x^2, ... must reach the identity
-    # at a power of p, which also certifies invertibility (hence |G| = p^n
-    # distinct elements).  The cyclic walks of the power tables raise when one
-    # misses it.
+    # The overlap test is the certificate.  The walk below derives the p-th
+    # power map, and checks once more that every element's powers x, x^2, ...
+    # reach the identity at a power of p; it raises when one misses it.
     G.pth_map()
 
 

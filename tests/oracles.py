@@ -15,15 +15,19 @@ of [M, G], M^(p^i) and Omega_i(G) (``closure_commutator_with_group``,
 ``closure_power_subgroup``, ``closure_omega_subgroup``), which the library
 now reads off G's lattice once it is cached.  ``product_tables`` multiplies
 out the tables and power maps that quotients and subgroup groups gather
-through their parent's.  ``gaussian_binomial`` is a closed-form count of
-subspaces, independent of any enumeration.
+through their parent's.  ``gaussian_binomial`` and ``birkhoff_count`` are
+closed-form counts of subspaces and of the subgroups of each type of an
+abelian p-group, independent of any enumeration.  ``LeftCollector`` is the
+library's former pc arithmetic, collection from the left, independent of
+the library's bulk-filled tables.
 """
 
+from itertools import product
 from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from pgroups.eta_series import eta, is_powerfully_embedded, powerfully_embedded_over
-from pgroups.groups import FiniteGroup, PcPresentation, _PcBackend
+from pgroups.groups import FiniteGroup, PcPresentation
 from pgroups.subgroups import (
     Subgroup,
     closure,
@@ -270,24 +274,79 @@ def quotient_is_eta_series(G: FiniteGroup, terms) -> bool:
     return True
 
 
-def sweep_pc_group(pres: PcPresentation) -> Optional[FiniteGroup]:
-    """The collector's group if the presentation is consistent, else None.
+class LeftCollector:
+    """u g_i collected from the left and memoized per entry: the library's former pc arithmetic.
 
-    Builds the group of normal words without any certificate, then checks
-    the identity law, associativity on every (x, y, generator) triple (which
-    extends to all triples, because a product is collected letter by
-    letter) and that every element reaches the identity along p-th powers.
-    O(|G|^2 n) through a full multiplication table; orders up to 343.
+    Independent of ``_PcBackend``'s bulk fill, with the same radix-p
+    encoding of normal words (g_1 the most significant digit).  To collect
+    u g_i, keep the head of u before g_i, raise its g_i exponent, and append
+    g_i^p's word on a carry and (g_j^(g_i))^(e_j) for every later letter
+    g_j^(e_j) of u, each collected by recursion into later generators.
+    Every step is a rewrite by the relations, so this is a collection for
+    any presentation, consistent or not.
+    """
+
+    def __init__(self, pres: PcPresentation):
+        self.pres = pres
+        self.p, self.n = pres.p, pres.ngens
+        self.order = pres.p**pres.ngens
+        self.strides = [self.p ** (self.n - i) for i in range(1, self.n + 1)]
+        # tab[i][u] is u g_i once collected, None before
+        self.tab: List[List[Optional[int]]] = [[None] * self.order for _ in range(self.n + 1)]
+
+    def generator(self, i: int) -> int:
+        return self.strides[i - 1]
+
+    def mul_gen(self, u: int, i: int) -> int:
+        hit = self.tab[i][u]
+        if hit is not None:
+            return hit
+        e = [u // s % self.p for s in self.strides]
+        result = sum(d * s for d, s in zip(e[: i - 1], self.strides))
+        pending = []
+        if e[i - 1] + 1 < self.p:
+            result += (e[i - 1] + 1) * self.strides[i - 1]
+        else:
+            pending.extend(self.pres.powers.get(i, ()))
+        for j in range(i + 1, self.n + 1):
+            # (g_j^(e_j))^(g_i) = (g_j^(g_i))^(e_j)
+            pending.extend(tuple(self.pres.conjugates.get((j, i), ((j, 1),))) * e[j - 1])
+        for gen, exp in pending:
+            for _ in range(exp):
+                result = self.mul_gen(result, gen)
+        self.tab[i][u] = result
+        return result
+
+    def mul(self, a: int, b: int) -> int:
+        for j, s in enumerate(self.strides, start=1):
+            if b >= s:
+                d, b = divmod(b, s)
+                tab = self.tab[j]
+                while d:
+                    hit = tab[a]
+                    a = hit if hit is not None else self.mul_gen(a, j)
+                    d -= 1
+        return a
+
+
+def sweep_pc_group(pres: PcPresentation) -> Optional[FiniteGroup]:
+    """The left collector's group if the presentation is consistent, else None.
+
+    Builds the group of normal words under ``LeftCollector`` without any
+    certificate, then checks the identity law, associativity on every
+    (x, y, generator) triple (which extends to all triples, because a
+    product is collected letter by letter) and that every element reaches
+    the identity along p-th powers.  O(|G|^2 n) through a full
+    multiplication table; orders up to 343.
     """
     pres.validate()
-    back = _PcBackend(pres)
+    back = LeftCollector(pres)
     G = FiniteGroup(
         pres.p,
         back.order,
         back.mul,
         [back.generator(i) for i in range(1, pres.ngens + 1)],
         label="sweep",
-        backend=back,
     )
     n = G.order
     table = mul_table(G)
@@ -389,3 +448,41 @@ def gaussian_binomial(k: int, j: int, q: int) -> int:
         num *= q ** (k - i) - 1
         den *= q ** (i + 1) - 1
     return num // den
+
+
+def conjugate_partition(lam) -> List[int]:
+    """lam'_i = the number of parts of lam that are >= i, for i = 1..max(lam)."""
+    return [sum(1 for part in lam if part > i) for i in range(max(lam, default=0))]
+
+
+def birkhoff_count(lam, mu, p: int) -> int:
+    """The number of subgroups of type mu in the abelian p-group of type lam (Birkhoff 1935).
+
+    prod_i p^(mu'_(i+1) (lam'_i - mu'_i)) [lam'_i - mu'_(i+1) choose mu'_i - mu'_(i+1)]_p
+    over i = 1..max(lam), where ' is the conjugate partition and mu lies
+    inside lam.
+    """
+    lc = conjugate_partition(lam)
+    mc = conjugate_partition(mu)
+    mc += [0] * (len(lc) + 1 - len(mc))
+    count = 1
+    for i, l in enumerate(lc):
+        count *= p ** (mc[i + 1] * (l - mc[i])) * gaussian_binomial(
+            l - mc[i + 1], mc[i] - mc[i + 1], p
+        )
+    return count
+
+
+def abelian_subgroup_counts(lam, p: int) -> Dict[int, int]:
+    """The number of subgroups of each order of the abelian p-group of type lam, in closed form.
+
+    Sums ``birkhoff_count`` over the types mu inside lam; a subgroup of type
+    mu has order p^|mu|.
+    """
+    lam = sorted(lam, reverse=True)
+    counts: Dict[int, int] = {}
+    for mu in product(*(range(part + 1) for part in lam)):
+        if all(a >= b for a, b in zip(mu, mu[1:])):
+            order = p ** sum(mu)
+            counts[order] = counts.get(order, 0) + birkhoff_count(lam, mu, p)
+    return counts

@@ -296,6 +296,24 @@ def test_cli_rejects_flags_a_command_does_not_read(argv, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--catalog", "heisenberg", "--budget", "0"],
+        ["analyze", "--catalog", "heisenberg", "--budget", "-5"],
+        ["verify", "omega", "--max-order", "-1"],
+        ["verify", "omega", "--max-order", "0"],
+    ],
+    ids=["budget-0", "budget-negative", "max-order-negative", "max-order-0"],
+)
+def test_cli_rejects_non_positive_limits(argv, capsys):
+    # out of range is malformed input (exit 2), never exit 3 or "0/0 passed"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+
+
 def test_cli_analyze_scalar_int_list_param(capsys):
     # a scalar for a list parameter is a one-element list: C_27
     assert main(["analyze", "--catalog", "abelian", "--param", "exps=3", "--json"]) == 0

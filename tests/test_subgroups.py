@@ -310,6 +310,26 @@ def test_enumerate_elementary_abelian_matches_gaussian_binomials(groups, p, k):
     assert counts == {p**j: oracles.gaussian_binomial(k, j, p) for j in range(k + 1)}
 
 
+@pytest.mark.parametrize("lam", [(2, 1), (2, 2)], ids=["2,1", "2,2"])
+def test_birkhoff_counts_match_brute_force(groups, lam):
+    G = groups("abelian", p=3, exps=lam)
+    counts = Counter(len(N) for N in oracles.naive_normal_subgroups(oracles.mul_table(G)))
+    assert counts == oracles.abelian_subgroup_counts(lam, 3)
+
+
+@pytest.mark.parametrize(
+    "p, lam",
+    [(3, (3, 2, 1)), (3, (2, 2, 2)), (3, (3, 3, 2)), (5, (2, 1, 1)), (5, (2, 2, 1)), (7, (3, 2))],
+    ids=["3-3,2,1", "3-2,2,2", "3-3,3,2", "5-2,1,1", "5-2,2,1", "7-3,2"],
+)
+def test_enumerate_abelian_matches_birkhoff_counts(groups, p, lam):
+    # every subgroup of an abelian group is normal, and those of each type
+    # are counted by Birkhoff's formula
+    G = groups("abelian", p=p, exps=lam)
+    counts = Counter(N.order for N in enumerate_normal_subgroups(G))
+    assert counts == oracles.abelian_subgroup_counts(lam, p)
+
+
 def test_enumerate_matches_central_extension_oracle(groups):
     from pgroups.catalog import suite_instances
 
