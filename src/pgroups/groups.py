@@ -4,8 +4,19 @@ Groups live on the dense element domain 0..order-1 with the identity at
 index 0.  Multiplication is an exact integer function supplied by a
 construction-specific backend (right tables for pc presentations, matrix
 arithmetic for unitriangular groups, coordinate arithmetic for abelian and
-semidirect products, coset arithmetic for quotients).  Groups are immutable
-after construction; per-group caches are filled lazily and idempotently.
+semidirect products, coset arithmetic for quotients).
+
+Every root backend also hands over, in bulk, the right table x -> x g of
+each listed generator g (``right_table``), which ``subgroups.GroupTables``
+reads instead of multiplying.  Abelian and semidirect backends give their
+p-th power map the same way (``power_map``); pc and unitriangular groups
+walk it with ``mul``.  The abelian and unitriangular tables are built over
+the element index digit by digit, and an endomorphism of an abelian group
+is extended from its generator images the same way
+(``_AbelianBackend.extend``).
+
+Groups are immutable after construction; per-group caches are filled
+lazily and idempotently.
 
 Only odd primes are supported; every constructor rejects p = 2.
 """
@@ -13,9 +24,10 @@ Only odd primes are supported; every constructor rejects p = 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
+from functools import reduce
+from itertools import chain, compress
 from operator import add, truth
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     InconsistentPresentation,
@@ -131,9 +143,14 @@ class FiniteGroup:
         return self.mul(self.inv(self.mul(y, x)), self.mul(x, y))
 
     def pth_map(self) -> List[int]:
-        """The cached p-th power map: pth_map()[x] == x**p.  Callers must not mutate it."""
+        """The cached p-th power map: pth_map()[x] == x**p.  Callers must not mutate it.
+
+        A backend with a ``power_map`` (abelian, semidirect) hands it over in
+        bulk; every other group walks it with ``mul`` (``_power_walk``).
+        """
         if self._pth is None:
-            self._pth = self._power_walk()
+            bulk = getattr(self.backend, "power_map", None)
+            self._pth = bulk() if bulk is not None else self._power_walk()
         return self._pth
 
     def pth_power(self, x: int) -> int:
@@ -337,6 +354,10 @@ class _PcBackend:
     def generator(self, i: int) -> int:
         return self._strides[i - 1]
 
+    def right_table(self, g: int) -> List[int]:
+        """The filled table u -> u g of the pc generator g."""
+        return self._tab[self._strides.index(g) + 1]
+
     def word(self, x: int) -> str:
         """The normal word of x, e.g. ``g_1^2 g_3``; ``1`` for the identity."""
         letters = [
@@ -489,8 +510,17 @@ def _check_pc_consistency(G: FiniteGroup, back: _PcBackend) -> None:
 # -- direct products of cyclic groups --------------------------------------
 
 
+def _stacked(blocks: Iterable[Tuple[int, List[int]]]) -> List[int]:
+    """The list that has offset + y for each y of each (offset, block), in turn."""
+    return list(chain.from_iterable(map(offset.__add__, block) for offset, block in blocks))
+
+
 class _AbelianBackend:
-    """Mixed-radix coordinates, componentwise modular addition."""
+    """Mixed-radix coordinates, componentwise modular addition.
+
+    Digit i (least significant first) has radix r_i = p^(exps[i]) and
+    stride s_i = ``strides[i]``, the index of the i-th generator.
+    """
 
     def __init__(self, p: int, exps: Sequence[int]):
         self.p = p
@@ -523,11 +553,49 @@ class _AbelianBackend:
             a, b = a2, b2
         return x
 
+    def add_table(self, h: int) -> List[int]:
+        """The table x -> x h, built over the digits from the least significant up.
+
+        With the x below stride s_i done, the x whose digit i reads u are
+        u s_i plus those, and x h turns that digit to u + h_i mod r_i.
+        """
+        table = [0]
+        for d, r, s in zip(self.decode(h), self.radices, self.strides):
+            table = _stacked(((u + d) % r * s, table) for u in range(r))
+        return table
+
+    right_table = add_table
+
+    def extend(self, images: Sequence[int]) -> List[int]:
+        """The table of x = sum d_i g_i -> sum d_i images[i], digits 0 <= d_i < r_i.
+
+        Digit by digit: once the table covers the x below stride s_i, the
+        x with digit i equal to d are those plus d g_i, and their images are
+        the covered ones plus d images[i], a gather through the "add
+        images[i]" table.  This is the homomorphism with g_i ->
+        images[i] exactly when each images[i] has order dividing r_i; the
+        callers make sure of that.
+        """
+        table = [0]
+        for h, r in zip(images, self.radices):
+            add = self.add_table(h).__getitem__
+            layers = [table]
+            for _ in range(r - 1):
+                layers.append(list(map(add, layers[-1])))
+            table = list(chain.from_iterable(layers))
+        return table
+
+    def power_map(self) -> List[int]:
+        """x -> x^p, the endomorphism with g_i -> g_i^p."""
+        return self.extend([self.p * s % (r * s) for r, s in zip(self.radices, self.strides)])
+
 
 def build_abelian(p: int, exps: Sequence[int], label: Optional[str] = None) -> FiniteGroup:
     """Direct product of cyclic groups of orders p^e for e in exps.
 
-    Correct by construction: the product is componentwise addition mod p^e.
+    Correct by construction: the product is componentwise addition mod p^e,
+    and the right tables and the p-th power map are the same addition on
+    whole digit blocks.
     """
     validate_odd_prime(p)
     exps = list(exps)
@@ -603,6 +671,37 @@ class _UnitriangularBackend:
         mat[i][i + 1] = 1
         return self.index_of(mat)
 
+    def right_table(self, g: int) -> List[int]:
+        """The table x -> x g of the listed transvection g = 1 + e_(i,i+1).
+
+        Right multiplication by g adds column i to column i + 1 and takes no
+        matrix product: for r < i the entry (r, i + 1) gains the entry
+        (r, i), the entry (i, i + 1) gains 1, and no other entry moves.
+        (r, i + 1) is the digit after (r, i), so the new index is a sum of
+        terms that each read one digit or one such pair of digits.  The
+        table is built over the digits from the least significant up: with
+        the lower digits done (stride s), the x whose next digits read c
+        are c s plus those, and their images are the image of c plus the
+        images of those.
+        """
+        i = [self.transvection(j) for j in range(self.n - 1)].index(g)
+        q, positions = self.q, self.positions
+        table = [0]
+        k = 0
+        while k < len(positions):
+            s = q**k
+            r, c = positions[k]
+            if c == i and r < i:
+                # u at (r, i), v at (r, i + 1): (u, v) -> (u, v + u)
+                images = [(u + (v + u) % q * q) * s for v in range(q) for u in range(q)]
+                k += 2
+            else:
+                shift = 1 if (r, c) == (i, i + 1) else 0
+                images = [(u + shift) % q * s for u in range(q)]
+                k += 1
+            table = _stacked((image, table) for image in images)
+        return table
+
 
 def build_unitriangular(n: int, p: int, m: int, label: Optional[str] = None) -> FiniteGroup:
     """Upper unitriangular n x n matrices over Z/p^m, order p^(m n(n-1)/2).
@@ -631,7 +730,9 @@ class _SemidirectBackend:
     """Pairs (a, m) = alpha^a m with (a1,m1)(a2,m2) = (a1+a2, alpha^a2(m1) m2).
 
     ``alpha`` is the conjugation action m |-> m^alpha, stored as full element
-    maps for every power of the generator.
+    maps for every power of the generator.  M comes from ``build_abelian``,
+    so its backend gives the tables of M that the right tables and the p-th
+    power map are assembled from, block a of |M| entries at a time.
     """
 
     def __init__(self, M: FiniteGroup, pow_maps: List[List[int]], t: int):
@@ -654,34 +755,55 @@ class _SemidirectBackend:
             self.pow_maps[a2][m1], m2
         )
 
+    def right_table(self, g: int) -> List[int]:
+        """The table x -> x g: (a, m)(b, h) = (a + b, alpha^b(m) h).
+
+        Every block a is the same map of M, m -> alpha^b(m) h, moved to block
+        a + b.  For g = alpha that map is alpha itself; for g in M it is M's
+        table of h.
+        """
+        b, h = self.decode(g)
+        inner = list(map(self.M.backend.add_table(h).__getitem__, self.pow_maps[b]))
+        size, amod = self.M.order, self.amod
+        return _stacked(((a + b) % amod * size, inner) for a in range(amod))
+
+    def power_map(self) -> List[int]:
+        """x -> x^p: (a, m)^p = (p a, N_a(m)) with N_a = alpha^((p-1)a) ... alpha^a 1.
+
+        M is abelian, so N_a, a sum of automorphisms, is an endomorphism of
+        M, and M's backend extends it from the images of M's generators.
+        """
+        M, amod, p = self.M, self.amod, self.M.p
+        back = M.backend
+        blocks = []
+        for a in range(amod):
+            maps = [self.pow_maps[k * a % amod] for k in range(p)]
+            images = [reduce(back.mul, [f[g] for f in maps]) for g in M.generators]
+            blocks.append((p * a % amod * M.order, back.extend(images)))
+        return _stacked(blocks)
+
 
 def extend_to_automorphism(M: FiniteGroup, images: Sequence[int]) -> List[int]:
-    """Extend generator images to a full automorphism map of abelian M.
+    """Extend generator images to a full automorphism map of M from ``build_abelian``.
 
-    Raises NotAutomorphism when the images do not define one.
+    M is the direct sum of the cyclic groups of its generators g_i, of
+    orders r_i, so the images define a homomorphism exactly when each
+    images[i] has order dividing r_i; it is then extended digit by digit
+    (``_AbelianBackend.extend``), with no product.  Raises NotAutomorphism
+    when the images do not define an automorphism.
     """
+    back = M.backend
     if len(images) != len(M.generators):
         raise NotAutomorphism(
             f"expected {len(M.generators)} generator images, got {len(images)}"
         )
-    amap = [-1] * M.order
-    amap[0] = 0
-    reached = [0]
-    mul = M.mul
-    # One breadth-first pass: each (x, generator) pair either defines the
-    # image of x g or checks it.  A map that respects every such pair is a
-    # homomorphism, by induction on word length.
-    for x in reached:
-        fx = amap[x]
-        for g, fg in zip(M.generators, images):
-            y, fy = mul(x, g), mul(fx, fg)
-            if amap[y] < 0:
-                amap[y] = fy
-                reached.append(y)
-            elif amap[y] != fy:
-                raise NotAutomorphism(f"images do not define a homomorphism at ({x}, {g})")
-    if len(reached) != M.order:
-        raise NotAutomorphism("generators do not generate M")
+    for g, fg, r in zip(M.generators, images, back.radices):
+        if back.encode([r * d for d in back.decode(fg)]):
+            raise NotAutomorphism(
+                f"images do not define a homomorphism: generator {g} has order {r}, "
+                f"but its image {fg} does not have order dividing {r}"
+            )
+    amap = back.extend(images)
     if len(set(amap)) != M.order:
         raise NotAutomorphism("extended map is not bijective")
     return amap
@@ -695,6 +817,8 @@ def build_semidirect(
 ) -> FiniteGroup:
     """Cyclic extension <alpha> x| M with |alpha| = p^t acting by alpha_images.
 
+    M must come from ``build_abelian``: its coordinates give alpha, the
+    right tables and the p-th power map digit by digit, with no product.
     ``alpha_images`` lists m^alpha for each distinguished generator m of M;
     the action of alpha^{p^t} must be the identity.  The product is
     associative because both exact checks below hold: alpha is an
@@ -702,6 +826,10 @@ def build_semidirect(
     """
     if not M.is_abelian():
         raise NotAbelian(f"{M.label} is not abelian")
+    if not isinstance(M.backend, _AbelianBackend):
+        raise ParamOutOfRange(
+            f"the base of a semidirect product must come from build_abelian, not {M.label}"
+        )
     if t < 1:
         raise ParamOutOfRange(f"t must be >= 1, got {t}")
     amap = extend_to_automorphism(M, alpha_images)
@@ -709,10 +837,8 @@ def build_semidirect(
     _check_cap(M.order * amod, "semidirect product")
     pow_maps = [list(range(M.order)), amap]
     for _ in range(2, amod):
-        prev = pow_maps[-1]
-        pow_maps.append([amap[x] for x in prev])
-    full = [amap[x] for x in pow_maps[-1]] if amod > 1 else amap
-    if full != pow_maps[0]:
+        pow_maps.append(list(map(amap.__getitem__, pow_maps[-1])))
+    if list(map(amap.__getitem__, pow_maps[-1])) != pow_maps[0]:
         raise OrderMismatch(f"alpha^(p^{t}) is not the identity automorphism")
     back = _SemidirectBackend(M, pow_maps, t)
     gens = [back.encode(1, 0)] + [back.encode(0, g) for g in M.generators]
@@ -721,4 +847,3 @@ def build_semidirect(
         label=label or f"C{amod}:|{M.label}", backend=back,
     )
     return G
-

@@ -225,12 +225,13 @@ def normal_hull(G: FiniteGroup, bits: int, order: int = 0) -> Subgroup:
     """The smallest normal subgroup of G that contains the element set bits.
 
     G's lattice is sorted by order, so this is its first member containing
-    bits.  The scan starts at ``order``, a known lower bound on the answer's
+    bits.  The scan starts, by a bisection of the lattice's orders (cached
+    beside it), at ``order``, a known lower bound on the answer's
     order (``bits.bit_count()`` is always one).  The first lookup in G
     enumerates its lattice, within the default budget.
     """
     normals = enumerate_normal_subgroups(G)
-    start = bisect_left(normals, max(order, bits.bit_count()), key=lambda H: H.order)
+    start = bisect_left(G.cache["normal_orders"], max(order, bits.bit_count()))
     for i in range(start, len(normals)):  # a slice would copy the rest of the lattice
         if bits | normals[i].bits == normals[i].bits:
             return normals[i]
@@ -304,11 +305,10 @@ class GroupTables:
       (a search over ``right``, no products).  No proper subset of ``gens``
       generates G, so by the Burnside basis theorem it has d(G) elements;
     - ``right[k][x] = x g_k`` for each g_k in ``gens``: the greedy pass reads
-      each kept generator's whole table from ``right_of``.  By default that
-      takes the |G| products x g with G's own ``mul``, so these are the only
-      d(G) |G| products unless the prune drops a generator.  A quotient or a
-      subgroup group passes gathers through its parent's tables instead and
-      takes no product at all (``_derived_group``);
+      each kept generator's whole table from ``right_of``, and nothing else
+      takes a product.  A root group passes its backend's ``right_table``,
+      filled in bulk (``_tables``); a quotient or a subgroup group passes
+      gathers through its parent's tables (``_derived_group``);
     - a breadth-first word tree: ``x = parent[x] g_(gen[x])``, so ``word(x)``
       spells x in ``gens`` and multiplying a whole list by x is a gather
       along that word;
@@ -320,8 +320,8 @@ class GroupTables:
       [y h, g] = [y, g]^h [h, g] = (g^-1)^(y h) g, so (g^-1)^x is walked
       down the tree through the conjugation tables z -> h^-1 z h, and those
       come from the walk x -> h^-1 x and ``right``.  No product is taken
-      beyond ``right`` and the p-th powers, and the conjugation tables are
-      dropped once the gathers are built.
+      beyond those ``right_of`` and ``G.pth_map`` take, and the conjugation
+      tables are dropped once the gathers are built.
 
     Raises InvariantViolation when the generators do not reach every element.
     That reach check is the one certificate that ``G.generators`` generate G,
@@ -331,18 +331,8 @@ class GroupTables:
 
     __slots__ = ("gens", "right", "parent", "gen", "pth", "comm_maps", "comm")
 
-    def __init__(
-        self, G: FiniteGroup, right_of: Optional[Callable[[int], List[int]]] = None
-    ) -> None:
+    def __init__(self, G: FiniteGroup, right_of: Callable[[int], List[int]]) -> None:
         n = G.order
-        if right_of is None:
-            mul = G.mul
-            # one int object per element, shared by every table below
-            ints = list(range(n))
-
-            def right_of(g: int) -> List[int]:
-                return [ints[mul(x, g)] for x in ints]
-
         # greedy pass: keep each listed generator the kept ones do not reach,
         # and close the reached elements over it
         gens: List[int] = []
@@ -435,9 +425,10 @@ def _reach(right: Sequence[List[int]], n: int) -> Tuple[List[int], List[int], Li
 
 
 def _tables(G: FiniteGroup) -> GroupTables:
+    """G's tables; a root group's are built on first use from its backend's right tables."""
     hit = G.cache.get("tables")
     if hit is None:
-        hit = GroupTables(G)
+        hit = GroupTables(G, G.backend.right_table)
         G.cache["tables"] = hit
     return hit
 
@@ -850,4 +841,6 @@ def enumerate_normal_subgroups(
         stack.append([M, child_level, child, candidates(child) & (full ^ chain[child_level]), None])
     result = sorted(seen.values(), key=lambda s: (s.order, s.bits))
     G.cache["normals"] = result
+    # normal_hull bisects these rather than take each probe's order
+    G.cache["normal_orders"] = [H.order for H in result]
     return result

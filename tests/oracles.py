@@ -422,21 +422,19 @@ def product_tables(
 ) -> Tuple[List[List[int]], List[int], List[int]]:
     """The tables x -> x g (g in gens), x -> x^p and the order exponents of G, from G.mul alone.
 
-    The order exponent of x is read off the walk x, x^2, ... to the identity.
+    The order exponent of x is the number of p-th powers, each taken by
+    ``G.pow``, that lead x to the identity: the least k with x^(p^k) = 1.
     """
     n, p = G.order, G.p
     right = [[G.mul(x, g) for x in range(n)] for g in gens]
     pth = [G.pow(x, p) for x in range(n)]
     ordexp = []
     for x in range(n):
-        y, m = x, 1
+        y, k = x, 0
         while y:
-            y = G.mul(y, x)
-            m += 1
-        k = 0
-        while p**k < m:
+            y = G.pow(y, p)
             k += 1
-        assert p**k == m, (G.label, x, m)
+            assert p**k <= n, (G.label, x)
         ordexp.append(k)
     return right, pth, ordexp
 

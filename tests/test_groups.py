@@ -22,6 +22,7 @@ from pgroups import (
     build_unitriangular,
     validate_odd_prime,
 )
+from pgroups import catalog as cat
 from pgroups.groups import _PcBackend, _UnitriangularBackend
 from pgroups.subgroups import _tables, center, quotient, trivial_subgroup, whole_subgroup
 
@@ -432,6 +433,41 @@ def test_semidirect_element_cap():
     with pytest.raises(SizeLimitExceeded):
         build_semidirect(M, list(M.generators), 1)
     assert 3**12 > ELEMENT_CAP >= 3**11
+
+
+# -- bulk backend tables ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("heisenberg", {"p": 5}),
+        ("abelian", {"p": 5, "exps": (2, 1, 3)}),
+        ("unitriangular", {"n": 4, "p": 3, "m": 1}),
+        ("unitriangular", {"n": 3, "p": 3, "m": 2}),
+        ("mann_nonpf", {"p": 3}),  # t = 2
+        ("potent_nopwc", {"p": 5, "n": 1}),
+        ("mainline_coclass1", {"p": 5, "k": 6}),
+    ],
+)
+def test_backend_tables_agree_with_mul(name, params):
+    # every root backend hands over its right tables, and the abelian and
+    # semidirect ones their p-th power map, without a product; each must be
+    # what the backend's own mul gives
+    G = cat.catalog_build(name, **params)
+    back = G.backend
+    right, pth, _ = oracles.product_tables(G, G.generators)
+    assert [back.right_table(g) for g in G.generators] == right
+    if hasattr(back, "power_map"):
+        assert back.power_map() == pth
+    assert G.pth_map() == pth
+
+
+def test_abelian_add_table_agrees_with_mul():
+    G = build_abelian(5, [2, 1, 3])
+    h = G.generators[0] * 7 + G.generators[1] * 3 + G.generators[2] * 101  # every digit nonzero
+    assert all(G.backend.decode(h))
+    assert G.backend.add_table(h) == [G.mul(x, h) for x in range(G.order)]
 
 
 # -- group laws on every built kind ----------------------------------------------

@@ -145,8 +145,11 @@ def test_only_entry_points_take_a_budget():
 
 def test_default_suite_backend_products_are_bounded():
     # the product count is deterministic, so it pins the cost of analyze
-    # without timing anything: the power walks and the tables over an
-    # irredundant generating set take 55,738 products on the 18 groups
+    # without timing anything: every root backend hands over its right
+    # tables, and the abelian and semidirect ones their p-th power maps, so
+    # what is left is the power walks of the pc and unitriangular groups and
+    # the closures and conjugations of analyze itself: 4,055 products on the
+    # 18 groups
     calls = [0]
     for name, params in cat.DEFAULT_SUITE:
         G = cat.catalog_build(name, **params)
@@ -163,10 +166,10 @@ def test_default_suite_backend_products_are_bounded():
 
 def test_default_verify_backend_products_are_bounded(monkeypatch):
     # every quotient and subgroup group that verify builds gathers its
-    # cosets, tables and power maps through its root group's tables; what
-    # is left is the root groups' own tables and power walks and the
-    # closures and conjugations of verify itself: 10,123 products on the 15
-    # groups
+    # cosets, tables and power maps through its root group's tables, and
+    # the root groups hand over their own tables in bulk; what is left is
+    # the pc and unitriangular power walks and the closures and
+    # conjugations of verify itself: 3,401 products on the 15 groups
     calls = [0]
     build = cat.catalog_build
 
@@ -184,6 +187,14 @@ def test_default_verify_backend_products_are_bounded(monkeypatch):
     monkeypatch.setattr(cat, "catalog_build", counting_build)
     assert all(r.passed for r in verify.run_suites(list(verify.SUITES)))
     assert calls[0] <= 11_000
+
+
+def test_pc_build_builds_no_lattice_tables():
+    # the overlap test and the power walk read the backend's filled tables
+    # directly; building GroupTables as well would slow every pc load, and
+    # a group that is never analyzed never needs them
+    G = build_from_pc(class2_pres_3_8())
+    assert "tables" not in G.cache
 
 
 def test_pc_build_decodes_no_element(monkeypatch):
