@@ -11,11 +11,11 @@ No quotient group and no closure is built here.  For normal N <= M of G,
 M/N is powerfully embedded in G/N exactly when [M, G] <= M^p N, and M^p N,
 a product of two normal subgroups, is again a member of G's normal lattice.
 So eta of every quotient G/N (pulled back to G), the upper eta-series,
-powerful height and the eta-series test are all filters over G's one cached
-lattice, and the upper eta-series and powerful height are one greedy chain
-(``_eta_chain``).  [M, G], M^p and the joins come from ``subgroups``, which
-reads them off that lattice as ``normal_hull`` lookups; the first of them
-enumerates the lattice.  The powerfully-embedded test is the case N = 1.
+powerful height and the eta-series test are all read off G's one cached
+lattice: an eta step is its first member from the top to pass the test
+(``_eta_over``), and the steps make one greedy chain (``_eta_chain``).
+[M, G] and M^p are ``normal_hull`` lookups in that lattice (``subgroups``);
+the first of them enumerates it.  The powerfully-embedded test is N = 1.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .subgroups import (
     coclass,
     commutator_with_group,
     enumerate_normal_subgroups,
-    join,
     lower_central_term,
     nilpotency_class,
     normal_hull,
@@ -87,20 +86,23 @@ def powerfully_embedded_normals(G: FiniteGroup) -> List[Subgroup]:
 def _eta_over(G: FiniteGroup, K: Subgroup, N: Subgroup) -> Subgroup:
     """The largest normal M with K <= M <= N and M/K powerfully embedded in G/K.
 
-    K <= N are normal.  M is the join of every member of
-    ``powerfully_embedded_over(G, K)`` that lies in N; the join is then
-    itself certified as powerfully embedded over K and as containing the
-    preimage of Z(G/K) within N (its image in G/K is central, hence
-    powerfully embedded).  With N = G, M is the preimage of eta(G/K).
+    K <= N are normal.  If A/K and B/K pass, so does AB/K, as [AB, G] =
+    [A, G][B, G] <= A^p B^p K <= (AB)^p K.  So M holds every passing member
+    and is the only one of its order: it is the first member of G's lattice,
+    from the top, to pass (K itself passes).  M is certified to contain the
+    preimage of Z(G/K) within N (central in G/K, so it passes).
+    With N = G, M is the preimage of eta(G/K).
     """
     key = ("eta_over", K.bits, N.bits)
     hit = G.cache.get(key)
     if hit is None:
-        nb = N.bits
-        e = join(G, [M for M in powerfully_embedded_over(G, K) if M.bits | nb == nb])
+        kb, nb = K.bits, N.bits
         where = f"{G.label} over its normal subgroup of order {K.order}"
-        if not _pe_over(G, e, K):
-            raise InvariantViolation(f"the eta step of {where} is not powerfully embedded")
+        for e in reversed(enumerate_normal_subgroups(G)):
+            if kb | e.bits == e.bits and e.bits | nb == nb and _pe_over(G, e, K):
+                break
+        else:
+            raise InvariantViolation(f"no powerfully embedded step in {where}")
         if (center_over(G, K).bits & nb) | e.bits != e.bits:
             raise InvariantViolation(f"the eta step of {where} does not contain the center")
         G.cache[key] = hit = e
@@ -110,14 +112,14 @@ def _eta_over(G: FiniteGroup, K: Subgroup, N: Subgroup) -> Subgroup:
 def _eta_chain(G: FiniteGroup, N: Subgroup) -> List[Subgroup]:
     """The greedy eta-series K_0 = 1 < K_1 < ... < K_h = N of a normal N.
 
-    K_(i+1) = ``_eta_over(G, K_i, N)``, the join of every normal M <= N of G
-    with M/K_i powerfully embedded in G/K_i, i.e. [M, G] <= M^p K_i.  Each
-    step is certified powerfully embedded over K_i, so (K_i) is an
-    eta-series of N.  It is the fastest one, hence a shortest one: let
-    (N_i) be any eta-series of N and assume N_i <= K_i.  Then M = N_(i+1)
-    K_i satisfies K_i <= M <= N and [M, G] = [N_(i+1), G][K_i, G] <= M^p
-    K_i, so M is one of the subgroups joined into K_(i+1), and N_(i+1) <=
-    K_(i+1).  With N = G this is the upper eta-series, so pwc(G) = pwh(G).
+    K_(i+1) = ``_eta_over(G, K_i, N)``, the largest normal M <= N of G with
+    M/K_i powerfully embedded in G/K_i, i.e. [M, G] <= M^p K_i.  Each step
+    passed that test over K_i, so (K_i) is an eta-series of N.  It is the
+    fastest one, hence a shortest one: let (N_i) be any eta-series of N and
+    assume N_i <= K_i.  Then M = N_(i+1) K_i satisfies K_i <= M <= N and
+    [M, G] = [N_(i+1), G][K_i, G] <= M^p K_i, so M passes the test of that
+    step, which contains it: N_(i+1) <= K_(i+1).  With N = G this is the
+    upper eta-series, so pwc(G) = pwh(G).
     """
     if not N.is_normal():
         raise NotNormal("an eta-series is defined up to a normal subgroup")
@@ -136,10 +138,7 @@ def _eta_chain(G: FiniteGroup, N: Subgroup) -> List[Subgroup]:
 
 
 def eta(G: FiniteGroup) -> Subgroup:
-    """The largest powerfully embedded subgroup of G (the join of all of them).
-
-    The join is certified as powerfully embedded and as containing Z(G).
-    """
+    """The largest powerfully embedded subgroup of G, certified to contain Z(G)."""
     return _eta_over(G, trivial_subgroup(G), whole_subgroup(G))
 
 

@@ -10,7 +10,8 @@ former enumerators, the second one with its witnesses), the
 quotient-group eta machinery (``quotient_upper_eta_series`` and
 ``quotient_is_eta_series``), which build G/N instead of reading G's lattice,
 ``sweep_pc_group`` (the former pc consistency certificate), ``pwh_bfs``
-(the former cross-check of greedy powerful height) and the closure versions
+(the former cross-check of greedy powerful height), ``eta_over_by_join``
+(the former eta step, a join instead of a scan) and the closure versions
 of [M, G], M^(p^i) and Omega_i(G) (``closure_commutator_with_group``,
 ``closure_power_subgroup``, ``closure_omega_subgroup``), which the library
 now reads off G's lattice once it is cached.  ``product_tables`` multiplies
@@ -32,6 +33,7 @@ from pgroups.subgroups import (
     Subgroup,
     closure,
     commutator_subgroup,
+    join,
     power_image,
     quotient,
     trivial_subgroup,
@@ -400,6 +402,15 @@ def pwh_bfs(G: FiniteGroup, N: Subgroup) -> int:
                 nxt.append(M)
         frontier = nxt
     raise AssertionError(f"subgroup of order {N.order} in {G.label} has no eta-series")
+
+
+def eta_over_by_join(G: FiniteGroup, K: Subgroup, N: Subgroup) -> Subgroup:
+    """The largest M with K <= M <= N and M/K powerfully embedded in G/K.
+
+    The join of every member of ``powerfully_embedded_over(G, K)`` that lies
+    in N, with no scan order and no product lemma.
+    """
+    return join(G, [M for M in powerfully_embedded_over(G, K) if M <= N])
 
 
 def closure_commutator_with_group(G: FiniteGroup, M: Subgroup) -> Subgroup:

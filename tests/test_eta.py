@@ -3,8 +3,10 @@ import random
 import pytest
 
 from pgroups import build_abelian
+from pgroups import catalog as cat
 from pgroups.errors import NotNormal
 from pgroups.eta_series import (
+    _eta_over,
     eta,
     eta_capability_obstruction,
     is_eta_series,
@@ -124,6 +126,28 @@ def test_powerful_height_oracle_agrees_everywhere(groups):
         rep = upper_eta_series(G)
         for i, term in enumerate(rep.series.terms):
             assert powerful_height(G, term) == oracles.pwh_bfs(G, term) <= i
+
+
+def test_eta_step_scan_agrees_with_join(groups):
+    # the scan's first hit is the same lattice member as the join of every
+    # passing one: over each normal K up to G, and from 1 up to each normal N
+    for name, params in cat.suite_instances(729):
+        G = groups(name, **params)
+        one, whole = trivial_subgroup(G), whole_subgroup(G)
+        for X in enumerate_normal_subgroups(G):
+            for K, N in ((X, whole), (one, X)):
+                want = oracles.eta_over_by_join(G, K, N)
+                got = _eta_over(G, K, N)
+                assert got is want and got.bits == want.bits, (G.label, K.order, N.order)
+
+
+def test_eta_chain_steps_agree_with_join(groups):
+    G = groups("kirillov_quotient", p=3, e=2)
+    terms = upper_eta_series(G).series.terms
+    whole = whole_subgroup(G)
+    for K, step in zip(terms, terms[1:]):
+        want = oracles.eta_over_by_join(G, K, whole)
+        assert step is _eta_over(G, K, whole) is want and step.bits == want.bits
 
 
 def test_is_eta_series(groups):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 from pgroups import build_from_pc
 from pgroups import catalog as cat
-from pgroups import verify
+from pgroups import eta_series, verify
 from pgroups.groups import _PcBackend
 from pgroups.report import analyze_group
 
@@ -162,6 +162,29 @@ def test_default_suite_backend_products_are_bounded():
         G.mul = counting
         analyze_group(G)
     assert calls[0] <= 60_000
+
+
+def test_default_suite_pe_tests_are_bounded(monkeypatch):
+    # the powerfully-embedded test count is deterministic, so it pins the
+    # cost of the eta steps without timing anything: each step scans G's
+    # lattice from the top and stops at its first passing member, 301 tests
+    # on the 18 groups, where testing every member and joining the passing
+    # ones took 826
+    calls = [0]
+    pe_over = eta_series._pe_over
+
+    def counting(G, M, N):
+        calls[0] += 1
+        return pe_over(G, M, N)
+
+    monkeypatch.setattr(eta_series, "_pe_over", counting)
+    for name, params in cat.DEFAULT_SUITE:
+        G = cat.catalog_build(name, **params)
+        analyze_group(G)
+        if name == "kirillov_quotient":
+            # no step lists every powerfully embedded member
+            assert not [k for k in G.cache if isinstance(k, tuple) and k[0] == "pwe_over"]
+    assert calls[0] <= 400
 
 
 def test_default_verify_backend_products_are_bounded(monkeypatch):
