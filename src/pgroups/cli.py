@@ -160,9 +160,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         max_order = verify_mod.EXTENDED_MAX_ORDER
     elif max_order is None:
         max_order = verify_mod.DEFAULT_MAX_ORDER
-    results = verify_mod.run_suites(
-        suites, max_order=max_order, budget=args.budget, seed=args.seed
-    )
+    results = verify_mod.run_suites(suites, max_order=max_order, budget=args.budget)
     failed = [r for r in results if not r.passed]
     if args.json:
         payload = {
@@ -236,9 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         help="largest group order the verify suites touch (default 729)",
-    )
-    p_verify.add_argument(
-        "--seed", type=int, default=2024, help="seed for randomized property checks"
     )
     _json_flag(p_verify)
     _budget_flag(p_verify)

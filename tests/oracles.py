@@ -10,8 +10,10 @@ former enumerators, the second one with its witnesses), the
 quotient-group eta machinery (``quotient_upper_eta_series`` and
 ``quotient_is_eta_series``), which build G/N instead of reading G's lattice,
 ``sweep_pc_group`` (the former pc consistency certificate), ``pwh_bfs``
-(the former cross-check of greedy powerful height), ``eta_over_by_join``
-(the former eta step, a join instead of a scan) and the closure versions
+(the former cross-check of greedy powerful height), ``random_eta_series``
+(the former sampler of eta-series, now certified in full by ``verify``),
+``eta_over_by_join`` (the former eta step, a join instead of a scan) and
+the closure versions
 of [M, G], M^(p^i) and Omega_i(G) (``closure_commutator_with_group``,
 ``closure_power_subgroup``, ``closure_omega_subgroup``), which the library
 now reads off G's lattice once it is cached.  ``product_tables`` multiplies
@@ -23,6 +25,7 @@ library's former pc arithmetic, collection from the left, independent of
 the library's bulk-filled tables.
 """
 
+import random
 from itertools import product
 from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
@@ -402,6 +405,20 @@ def pwh_bfs(G: FiniteGroup, N: Subgroup) -> int:
                 nxt.append(M)
         frontier = nxt
     raise AssertionError(f"subgroup of order {N.order} in {G.label} has no eta-series")
+
+
+def random_eta_series(G: FiniteGroup, rng: random.Random) -> List[Subgroup]:
+    """An ascending eta-series of G built from random powerfully embedded steps.
+
+    Each step picks a normal M above the last term N with M/N powerfully
+    embedded in G/N, from G's own normal lattice.
+    """
+    terms = [trivial_subgroup(G)]
+    while not terms[-1].is_whole():
+        # sorted by order, so the first member is the last term itself
+        cands = powerfully_embedded_over(G, terms[-1])[1:]
+        terms.append(cands[rng.randrange(len(cands))])
+    return terms
 
 
 def eta_over_by_join(G: FiniteGroup, K: Subgroup, N: Subgroup) -> Subgroup:

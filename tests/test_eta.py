@@ -212,12 +212,10 @@ def test_pwc_coclass_bound(groups):
 
 def test_random_eta_series_stay_below_upper(groups):
     G = groups("wreath", p=3)
-    from pgroups.verify import random_eta_series
-
     rep = upper_eta_series(G)
     rng = random.Random(123)
     for _ in range(25):
-        series = random_eta_series(G, rng)
+        series = oracles.random_eta_series(G, rng)
         assert is_eta_series(G, series)
         for i, term in enumerate(series):
             upper = rep.series.terms[i] if i < len(rep.series.terms) else rep.series.terms[-1]
@@ -226,7 +224,7 @@ def test_random_eta_series_stay_below_upper(groups):
 
 def test_random_normal_chains_that_are_eta_series_stay_below_upper(groups):
     # chains assembled straight from the normal-subgroup lattice, independent
-    # of the generator used by the library's own random series builder
+    # of the generator behind oracles.random_eta_series
     total_found = 0
     for name, params in [("wreath", {"p": 3}), ("mann_nonpf", {"p": 3})]:
         G = groups(name, **params)
@@ -270,7 +268,6 @@ def test_eta_of_quotient_matches_quotient_of_eta(groups):
 def test_lattice_eta_machinery_matches_quotient_oracle(groups):
     # G's lattice versus quotient groups: series, steps and the eta-series test
     from pgroups import catalog as cat
-    from pgroups.verify import random_eta_series
 
     non_eta = 0
     for name, params in cat.suite_instances(729):
@@ -280,7 +277,7 @@ def test_lattice_eta_machinery_matches_quotient_oracle(groups):
         assert [t.bits for t in rep.series.terms] == terms, name
         assert [(s.quotient_order, s.eta_of_quotient_order) for s in rep.steps] == steps
         rng = random.Random(f"oracle|{cat.instance_key(name, params)}")
-        chains = [random_eta_series(G, rng) for _ in range(5)]
+        chains = [oracles.random_eta_series(G, rng) for _ in range(5)]
         chains.append([trivial_subgroup(G), whole_subgroup(G)])
         chains.append(list(reversed(lower_central_series(G).terms)))
         for chain in chains:

@@ -413,12 +413,19 @@ def test_cli_verify_text(capsys):
 
 
 def test_cli_verify_json_is_deterministic(capsys):
-    assert main(["verify", "eta-lemmas", "--max-order", "27", "--json", "--seed", "7"]) == 0
+    assert main(["verify", "eta-lemmas", "--max-order", "27", "--json"]) == 0
     first = capsys.readouterr().out
-    assert main(["verify", "eta-lemmas", "--max-order", "27", "--json", "--seed", "7"]) == 0
+    assert main(["verify", "eta-lemmas", "--max-order", "27", "--json"]) == 0
     second = capsys.readouterr().out
     assert first == second
     assert json.loads(first)["passed"] is True
+
+
+def test_cli_verify_has_no_seed():
+    # no property samples, so there is no seed to give
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "eta-lemmas", "--seed", "7"])
+    assert exc.value.code == 2
 
 
 def test_cli_verify_unknown_suite():

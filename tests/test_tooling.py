@@ -32,13 +32,12 @@ def _imported_modules(node):
     return []
 
 
-def test_only_verify_samples():
-    # verify's random eta-series are samples by design; every other module
-    # computes exact answers or certificates
+def test_nothing_samples():
+    # every module computes exact answers or certificates; samples and
+    # random inputs live in tests/
     found = [
         f"{path.relative_to(SRC)}:{node.lineno}"
         for path in sorted(SRC.rglob("*.py"))
-        if path != SRC / "verify.py"
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if any(m.split(".")[0] == "random" for m in _imported_modules(node))
     ]

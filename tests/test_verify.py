@@ -1,15 +1,23 @@
-import random
-
 from pgroups.verify import (
     SUITES,
     PropertyResult,
+    _fastest,
     kirillov_formula_series,
-    random_eta_series,
+    reachable_eta_levels,
     run_suites,
 )
 from pgroups.catalog import suite_instances
-from pgroups.eta_series import is_eta_series, upper_eta_series
-from pgroups.subgroups import _tables, join, power_subgroup, quotient, trivial_subgroup
+from pgroups.eta_series import upper_eta_series
+from pgroups.subgroups import (
+    _tables,
+    center,
+    enumerate_normal_subgroups,
+    join,
+    power_subgroup,
+    quotient,
+    trivial_subgroup,
+    upper_central_series,
+)
 
 import oracles
 
@@ -38,13 +46,34 @@ def test_unknown_suite_rejected():
         run_suites(["nonsense"])
 
 
-def test_random_eta_series_is_deterministic_per_seed(groups):
-    G = groups("wreath", p=3)
-    a = [t.bits for t in random_eta_series(G, random.Random(5))]
-    b = [t.bits for t in random_eta_series(G, random.Random(5))]
+def test_reachable_eta_levels_are_pwh_sublevel_sets(groups):
+    # S_i, the i-th terms of every eta-series, is {N normal : pwh(N) <= i},
+    # with pwh from the breadth-first oracle rather than the greedy chain
+    for name, params in suite_instances(729):
+        G = groups(name, **params)
+        pwc = upper_eta_series(G).powerful_class
+        levels = reachable_eta_levels(G, pwc)
+        assert len(levels) == pwc + 1
+        heights = {N.bits: oracles.pwh_bfs(G, N) for N in enumerate_normal_subgroups(G)}
+        for i, level in enumerate(levels):
+            want = {bits for bits, h in heights.items() if h <= i}
+            assert {N.bits for N in level} == want, (name, i)
+
+
+def test_fastest_check_fails_below_a_slower_series(groups):
+    # modular p=3 is powerful (eta_1 = G) with |Z(G)| = 3: its upper central
+    # series is not the fastest eta-series, and G in S_1 escapes Z(G)
+    G = groups("modular", p=3)
+    assert upper_eta_series(G).powerful_class == 1
+    assert center(G).order == 3
+    assert _fastest(G, upper_eta_series(G).series.terms) == (True, "7 reachable terms")
+    assert _fastest(G, upper_central_series(G).terms) == (False, "escapes at index 1")
+
+
+def test_run_suites_ignores_seed():
+    a = [r.to_json() for r in run_suites(["eta-lemmas"], max_order=81, seed=1)]
+    b = [r.to_json() for r in run_suites(["eta-lemmas"], max_order=81, seed=7)]
     assert a == b
-    series = random_eta_series(G, random.Random(5))
-    assert is_eta_series(G, series)
 
 
 def test_kirillov_formula_terms_are_subgroups(groups):
