@@ -15,7 +15,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -301,9 +300,10 @@ class GroupTables:
 
     - ``gens``, an irredundant generating subsequence of ``G.generators``:
       the greedy pass keeps each listed generator that the kept ones do not
-      reach, then each kept one that the others reach G without is dropped
-      (a search over ``right``, no products).  No proper subset of ``gens``
-      generates G, so by the Burnside basis theorem it has d(G) elements;
+      reach, then each kept one that the others reach G without is dropped.
+      Each step is one ``_reach`` over the kept tables (no products).  No
+      proper subset of ``gens`` generates G, so by the Burnside basis
+      theorem it has d(G) elements;
     - ``right[k][x] = x g_k`` for each g_k in ``gens``: the greedy pass reads
       each kept generator's whole table from ``right_of``, and nothing else
       takes a product.  A root group passes its backend's ``right_table``,
@@ -311,7 +311,9 @@ class GroupTables:
       gathers through its parent's tables (``_derived_group``);
     - a breadth-first word tree: ``x = parent[x] g_(gen[x])``, so ``word(x)``
       spells x in ``gens`` and multiplying a whole list by x is a gather
-      along that word;
+      along that word.  It is the last reach over the kept tables: the
+      prune's last drop, or the greedy pass's last step when nothing is
+      dropped;
     - ``pth``, the map x -> x^p: G's own list (``FiniteGroup.pth_map``).  A
       derived group has gathered it from its parent's before its tables are
       built;
@@ -333,39 +335,26 @@ class GroupTables:
 
     def __init__(self, G: FiniteGroup, right_of: Callable[[int], List[int]]) -> None:
         n = G.order
-        # greedy pass: keep each listed generator the kept ones do not reach,
-        # and close the reached elements over it
+        # greedy pass: keep each listed generator the kept ones do not reach
         gens: List[int] = []
         right: List[List[int]] = []
-        reached = [0]
-        seen = _flags(G, 1)
-        for g in G.generators:
-            if seen[g]:
-                continue
-            gens.append(g)
-            right.append(rg := right_of(g))
-            old = len(reached)
-            for x in reached[:old]:
-                y = rg[x]
-                if not seen[y]:
-                    seen[y] = 1
-                    reached.append(y)
-            # the list iterator also yields the elements appended meanwhile
-            for x in islice(reached, old, None):
-                for r in right:
-                    y = r[x]
-                    if not seen[y]:
-                        seen[y] = 1
-                        reached.append(y)
-        if len(reached) != n:
-            raise InvariantViolation(
-                f"the generators of {G.label} reach {len(reached)} of its {n} elements"
-            )
-        # prune: drop each kept generator the others still reach G without
-        for k in reversed(range(len(gens))):
-            if len(_reach(right[:k] + right[k + 1 :], n)[0]) == n:
-                del gens[k], right[k]
         tree, parent, gen = _reach(right, n)
+        for g in G.generators:
+            if parent[g] < 0:
+                gens.append(g)
+                right.append(right_of(g))
+                tree, parent, gen = _reach(right, n)
+        if len(tree) != n:
+            raise InvariantViolation(
+                f"the generators of {G.label} reach {len(tree)} of its {n} elements"
+            )
+        # prune: drop each kept generator the others still reach G without;
+        # the last reach over the kept tables is the word tree
+        for k in reversed(range(len(gens))):
+            reach = _reach(right[:k] + right[k + 1 :], n)
+            if len(reach[0]) == n:
+                del gens[k], right[k]
+                tree, parent, gen = reach
         del tree[0]
 
         def walk(start: int, tabs: Sequence[List[int]]) -> List[int]:
@@ -406,18 +395,17 @@ class GroupTables:
 def _reach(right: Sequence[List[int]], n: int) -> Tuple[List[int], List[int], List[int]]:
     """The elements reached from the identity through the tables right, breadth first.
 
-    Returns them in that order with the word tree: x = parent[x] g_(gen[x]).
+    Returns them in that order with the word tree: x = parent[x] g_(gen[x]),
+    and parent[x] == -1 for each x not reached (parent[0] == 0).
     """
     tree = [0]
-    parent = [0] * n
+    parent = [-1] * n
+    parent[0] = 0
     gen = [0] * n
-    seen = bytearray(n)
-    seen[0] = 1
     for x in tree:
         for k, r in enumerate(right):
             y = r[x]
-            if not seen[y]:
-                seen[y] = 1
+            if parent[y] < 0:
                 parent[y] = x
                 gen[y] = k
                 tree.append(y)
@@ -748,8 +736,13 @@ def enumerate_normal_subgroups(
 
     Reverse search over a fixed chief series 1 = C_0 < C_1 < ... < C_n = G
     (Avis and Fukuda 1996; induced pc sequences, Holt, Eick and O'Brien
-    2005, ch. 8) picks one such N per M.  The series is the first
-    lowest-bit path: C_(i+1) = C_i<x> for the least candidate x of C_i.
+    2005, ch. 8) picks one such N per M.  The series is the walk's first
+    descent: C_(i+1) = C_i<x> for the least candidate x of C_i, which the
+    frame of C_i takes first, and the frame of C_(i+1) runs next.  So each
+    term is appended as it is built, before any level beyond it is read,
+    and every normal subgroup is built once, the terms of the series
+    included.  Every p-group has such a series, so a descent that runs out
+    of candidates below G is an InvariantViolation.
     Let level(N) be the least i with N <= C_i.  For normal M of level j > 0,
     P = M n C_(j-1) is normal, and it has index p in M because M C_(j-1) =
     C_j.  P is M's canonical parent.  From each N only candidates x outside
@@ -800,23 +793,18 @@ def enumerate_normal_subgroups(
 
     triv = trivial_subgroup(G)
     counts = counts_with(bytearray(n), 1)
-    triv_counts = counts
-    chain = [1]
-    while chain[-1] != full:
-        free = candidates(counts) & ~chain[-1]
-        if not free:
-            raise InvariantViolation(f"chief series of {G.label} stalled below G")
-        x = (free & -free).bit_length() - 1
-        new = _coset_bits(G, T, list(bits_iter(chain[-1])), x)
-        counts = counts_with(bytearray(counts), new)
-        chain.append(chain[-1] | new)
     seen: Dict[int, Subgroup] = {triv.bits: triv}
+    # the chief series, grown by the walk's first descent
+    chain = [1]
     # frames [N, level(N), counts of N, candidates still to take, elements of N]
-    stack = [[triv, 0, triv_counts, candidates(triv_counts) & ~chain[0], None]]
+    stack = [[triv, 0, counts, candidates(counts) & ~chain[0], None]]
     while stack:
         frame = stack[-1]
         N, level, counts, free, elems = frame
         if not free:
+            # until the descent reaches G, the top frame is the chain's last term
+            if chain[-1] != full:
+                raise InvariantViolation(f"chief series of {G.label} stalled below G")
             stack.pop()
             continue
         if elems is None:
@@ -833,6 +821,8 @@ def enumerate_normal_subgroups(
             raise BudgetExceeded(f"more than {budget} normal subgroups in {G.label}")
         M = Subgroup(G, mbits, N.witness_list() + [x], normal=True)
         seen[mbits] = M
+        if level + 1 == len(chain):  # N is the chain's last term, and M its next
+            chain.append(mbits)
         # x lies in C_level(M) and outside C_(level(M)-1)
         child_level = level + 1
         while not (chain[child_level] >> x) & 1:

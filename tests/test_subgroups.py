@@ -495,6 +495,19 @@ def test_lattice_tables_agree_with_backend_arithmetic(groups):
     assert T.gens == [x, y]
     assert products == 0
     _check_tables(G, T)
+    # C_27 listed as g^9, g^3, g: the greedy pass keeps all three, and the
+    # prune drops g^3 and then g^9, so the word tree is the last prune's reach
+    C = build_abelian(3, [3])
+    (g,) = C.generators
+    G = FiniteGroup(
+        3, C.order, C.mul, [C.pow(g, 9), C.pow(g, 3), g], label="C27 on (g^9, g^3, g)",
+        backend=C.backend,
+    )
+    G.pth_map()
+    T, products = _counted(G, lambda: GroupTables(G, G.backend.right_table))
+    assert T.gens == [g]
+    assert products == 0
+    _check_tables(G, T)
 
 
 def test_lattice_tables_edge_groups(groups):
@@ -523,6 +536,18 @@ def test_lattice_tables_edge_groups(groups):
     with pytest.raises(InvariantViolation):
         GroupTables(G, G.backend.right_table)
     with pytest.raises(InvariantViolation):
+        enumerate_normal_subgroups(G)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_enumeration_stalls_below_g(level):
+    # a p-th power map that is not G's: with the identity, 1 has no
+    # candidate besides itself; when it sends the first factor to 1 and
+    # fixes every other element, the chief series stops at that factor
+    G = build_abelian(3, [1, 1])
+    first = closure(G, G.generators[:1])
+    G._pth = [0 if level and x in first else x for x in G.elements()]
+    with pytest.raises(InvariantViolation, match="stalled below G"):
         enumerate_normal_subgroups(G)
 
 

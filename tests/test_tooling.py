@@ -4,6 +4,7 @@ from pathlib import Path
 from pgroups import build_from_pc
 from pgroups import catalog as cat
 from pgroups import eta_series, verify
+from pgroups import subgroups as sg
 from pgroups.groups import _PcBackend
 from pgroups.report import analyze_group
 
@@ -161,6 +162,25 @@ def test_default_suite_backend_products_are_bounded():
         G.mul = counting
         analyze_group(G)
     assert calls[0] <= 60_000
+
+
+def test_enumeration_builds_each_normal_subgroup_once(monkeypatch):
+    # every child build is a new normal subgroup, chief series terms
+    # included: 550 coset builds over the 18 lattices, where building the
+    # series before the walk took 628
+    calls = [0]
+    coset_bits = sg._coset_bits
+
+    def counting(*args):
+        calls[0] += 1
+        return coset_bits(*args)
+
+    monkeypatch.setattr(sg, "_coset_bits", counting)
+    for name, params in cat.DEFAULT_SUITE:
+        before = calls[0]
+        normals = sg.enumerate_normal_subgroups(cat.catalog_build(name, **params))
+        assert calls[0] - before == len(normals) - 1, name
+    assert calls[0] == 550
 
 
 def test_default_suite_pe_tests_are_bounded(monkeypatch):
