@@ -40,7 +40,7 @@ from .errors import (
     SizeLimitExceeded,
 )
 
-# Hard cap on the element domain of any single group (covers 3^7 and 5^7).
+# Hard cap on the element domain of any single group (covers 3^11 and 5^7).
 ELEMENT_CAP = 250_000
 
 # A word maps to g_{i1}^{e1} g_{i2}^{e2} ...; generator indices are 1-based
@@ -49,11 +49,13 @@ Word = Tuple[Tuple[int, int], ...]
 
 
 def validate_odd_prime(p: int) -> int:
-    """Return p if it is an odd prime, else raise NotOddPrime."""
+    """Return p if it is an odd prime, else raise NotOddPrime (SizeLimitExceeded above the cap)."""
     if not isinstance(p, int) or p < 3:
         raise NotOddPrime(f"p must be an odd prime >= 3, got {p!r}")
     if p % 2 == 0:
         raise NotOddPrime(f"p = 2 is not supported (got {p})")
+    if p > ELEMENT_CAP:  # every group built has order at least p
+        raise SizeLimitExceeded(f"p = {p} exceeds the element cap {ELEMENT_CAP}")
     d = 3
     while d * d <= p:
         if p % d == 0:
@@ -71,12 +73,15 @@ def log_p(p: int, order: int) -> int:
     return e
 
 
-def _check_cap(order: int, what: str) -> int:
-    if order > ELEMENT_CAP:
-        raise SizeLimitExceeded(
-            f"{what} would have order {order} > element cap {ELEMENT_CAP}"
-        )
-    return order
+def _check_cap(p: int, e: int, what: str) -> int:
+    """p^e, the order of a group about to be built, unless it exceeds ELEMENT_CAP.
+
+    p >= 2, so p^e exceeds the cap once e exceeds its bit length, and a huge
+    power is never computed.
+    """
+    if e > ELEMENT_CAP.bit_length() or p**e > ELEMENT_CAP:
+        raise SizeLimitExceeded(f"{what} would have order {p}^{e} > element cap {ELEMENT_CAP}")
+    return p**e
 
 
 class FiniteGroup:
@@ -139,8 +144,9 @@ class FiniteGroup:
         return self.mul(self.mul(self.inv(g), x), g)
 
     def comm(self, x: int, y: int) -> int:
-        """[x, y] = x^-1 y^-1 x y."""
-        return self.mul(self.inv(self.mul(y, x)), self.mul(x, y))
+        """[x, y] = x^-1 y^-1 x y, from the memoized inverses of x and y."""
+        mul = self.mul
+        return mul(mul(mul(self.inv(x), self.inv(y)), x), y)
 
     def pth_map(self) -> List[int]:
         """The cached p-th power map: pth_map()[x] == x**p.  Callers must not mutate it.
@@ -442,7 +448,7 @@ def build_from_pc(pres: PcPresentation, label: Optional[str] = None) -> FiniteGr
     (``_check_pc_consistency``) over those tables.
     """
     pres.validate()
-    order = _check_cap(pres.p ** pres.ngens, "pc group")
+    order = _check_cap(pres.p, pres.ngens, "pc group")
     back = _PcBackend(pres)
     G = FiniteGroup(
         pres.p,
@@ -601,8 +607,8 @@ def build_abelian(p: int, exps: Sequence[int], label: Optional[str] = None) -> F
     exps = list(exps)
     if not exps or any(e < 1 for e in exps):
         raise ParamOutOfRange(f"exponents must be a nonempty list of integers >= 1, got {exps}")
+    _check_cap(p, sum(exps), "abelian group")
     back = _AbelianBackend(p, exps)
-    _check_cap(back.order, "abelian group")
     G = FiniteGroup(
         p,
         back.order,
@@ -715,8 +721,8 @@ def build_unitriangular(n: int, p: int, m: int, label: Optional[str] = None) -> 
         raise ParamOutOfRange(f"matrix dimension must be >= 2, got {n}")
     if m < 1:
         raise ParamOutOfRange(f"modulus exponent must be >= 1, got {m}")
+    _check_cap(p, m * n * (n - 1) // 2, f"UT_{n}(Z/{p}^{m})")
     back = _UnitriangularBackend(n, p, m)
-    _check_cap(back.order, f"UT_{n}(Z/{p}^{m})")
     gens = [back.transvection(i) for i in range(n - 1)]
     return FiniteGroup(
         p, back.order, back.mul, gens, label=label or f"UT{n}(Z/{p**m})", backend=back
@@ -832,9 +838,9 @@ def build_semidirect(
         )
     if t < 1:
         raise ParamOutOfRange(f"t must be >= 1, got {t}")
+    _check_cap(M.p, log_p(M.p, M.order) + t, "semidirect product")
     amap = extend_to_automorphism(M, alpha_images)
     amod = M.p**t
-    _check_cap(M.order * amod, "semidirect product")
     pow_maps = [list(range(M.order)), amap]
     for _ in range(2, amod):
         pow_maps.append(list(map(amap.__getitem__, pow_maps[-1])))

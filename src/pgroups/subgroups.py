@@ -7,7 +7,10 @@ intermediates are memoized on the owning group's cache.  [N, G], powers
 and joins of normal subgroups, Omega_i and Phi are lookups in G's normal
 lattice (``normal_hull``), which is enumerated on first use.  Closures
 remain for subgroups that need not be normal and for the lower central
-series.
+series.  They grow by whole right cosets, one product per new element:
+(H y) g = H (y g), so <H, x> is the union of the cosets reached from H x
+(``_close``).  [A, B] is the closure of the commutators of the witnesses
+under conjugation by the witnesses (``commutator_subgroup``).
 """
 
 from __future__ import annotations
@@ -111,45 +114,40 @@ def whole_subgroup(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, (1 << G.order) - 1, list(G.generators), normal=True)
 
 
-def _orbit_extend(
-    G: FiniteGroup, flags: bytearray, members: List[int], witnesses: List[int], seeds: List[int]
-) -> None:
-    """Close (flags, members) under right multiplication by witnesses, in place.
-
-    ``seeds`` are the members that still need processing.
-    """
-    mul = G.mul
-    queue = list(seeds)
-    while queue:
-        x = queue.pop()
-        for g in witnesses:
-            y = mul(x, g)
-            if not flags[y]:
-                flags[y] = 1
-                members.append(y)
-                queue.append(y)
-
-
 def _close(
     G: FiniteGroup, flags: bytearray, members: List[int], witnesses: List[int], gens: Iterable[int]
 ) -> List[int]:
-    """Extend the subgroup (flags, members) by each of gens in turn, in place.
+    """Extend the subgroup H = (flags, members) by each of gens in turn, in place.
 
-    witnesses generate the subgroup; each gen used is appended to them.
+    witnesses generate H, and each gen outside H is appended to them.  <H, x>
+    is the union of the right cosets H y (Dimino's algorithm; Butler,
+    Fundamental Algorithms for Permutation Groups, 1991).  (H y) g = H (y g),
+    so each new coset is found from H x by multiplying the first element of
+    a known coset by a witness, x included, and one element decides whether
+    its whole coset is known.  A new coset is y followed by h y for h in
+    H \\ {1}: one product per new element.  members[0] is the identity.
     Returns witnesses.
     """
+    mul = G.mul
     for x in gens:
         if flags[x]:
             continue
         witnesses.append(x)
-        flags[x] = 1
-        members.append(x)
-        _orbit_extend(G, flags, members, witnesses, members[:])
+        rest = members[1:]
+        firsts = [x]
+        for y in firsts:  # the list iterator also yields the firsts appended meanwhile
+            if flags[y]:
+                continue
+            coset = [y] + [mul(h, y) for h in rest]
+            for z in coset:
+                flags[z] = 1
+            members += coset
+            firsts += [mul(y, g) for g in witnesses]
     return witnesses
 
 
 def closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-    """Smallest subgroup containing gens (worklist closure)."""
+    """Smallest subgroup containing gens, grown coset by coset (``_close``)."""
     flags = _flags(G, 1)
     witnesses = _close(G, flags, [0], [], gens)
     return Subgroup(G, _from_flags(flags), witnesses)
@@ -159,37 +157,48 @@ def _reduce_witnesses(G: FiniteGroup, bits: int) -> List[int]:
     return _close(G, _flags(G, 1), [0], [], bits_iter(bits))
 
 
-def normal_closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-    """Smallest normal subgroup containing gens."""
+def _conjugation_closure(
+    G: FiniteGroup, gens: Iterable[int], conjugators: Sequence[int], normal: Optional[bool] = None
+) -> Subgroup:
+    """Smallest subgroup containing gens that every conjugator normalizes.
+
+    Conjugation by g is injective, so a finite H with w^g in H for each
+    witness w has H^g = H.  The conjugates are closed in round by round
+    until no witness is added; each round conjugates only the witnesses the
+    previous one added, since the earlier ones' conjugates are inside.
+    """
     flags = _flags(G, 1)
     members = [0]
     witnesses = _close(G, flags, members, [], gens)
-    while True:
-        extra = [
-            c
-            for w in witnesses
-            for g in G.generators
-            if not flags[c := G.conj(w, g)]
-        ]
-        if not extra:
-            return Subgroup(G, _from_flags(flags), witnesses, normal=True)
-        _close(G, flags, members, witnesses, extra)
+    done = 0
+    while done < len(witnesses):
+        new, done = witnesses[done:], len(witnesses)
+        _close(G, flags, members, witnesses, (G.conj(w, g) for w in new for g in conjugators))
+    return Subgroup(G, _from_flags(flags), witnesses, normal=normal)
+
+
+def normal_closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
+    """Smallest normal subgroup containing gens: the conjugation closure by ``G.generators``."""
+    return _conjugation_closure(G, gens, G.generators, normal=True)
+
+
+def _commutators(G: FiniteGroup, xs: Sequence[int], ys: Sequence[int]) -> List[int]:
+    """The distinct nontrivial [x, y], x in xs, y in ys, in increasing order."""
+    gens = {G.comm(x, y) for x in xs for y in ys}
+    gens.discard(0)
+    return sorted(gens)
 
 
 def commutator_subgroup(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
-    """Subgroup generated by all [a, b], a in A, b in B, by closure.
+    """[A, B], the subgroup generated by all [a, b] with a in A and b in B.
 
-    When both arguments are normal this equals the normal closure of the
-    witness-pair commutators; otherwise all element pairs are swept.
+    With X and Y the witnesses of A and B, [x x', y] = [x, y]^x' [x', y] and
+    [x, y y'] = [x, y'] [x, y]^y'.  So, by induction on word length, [A, B]
+    is the smallest subgroup that contains every [x, y] (x in X, y in Y) and
+    that every member of X and of Y normalizes: its conjugation closure.
     """
-    comm = G.comm
-    if A.is_normal() and B.is_normal():
-        gens = {comm(a, b) for a in A.witness_list() for b in B.witness_list()}
-        gens.discard(0)
-        return normal_closure(G, sorted(gens))
-    gens = {comm(a, b) for a in A.elements() for b in B.elements()}
-    gens.discard(0)
-    return closure(G, sorted(gens))
+    X, Y = A.witness_list(), B.witness_list()
+    return _conjugation_closure(G, _commutators(G, X, Y), X + Y)
 
 
 def power_image(G: FiniteGroup, N: Subgroup, i: int) -> set:
@@ -466,7 +475,7 @@ def lower_central_series(G: FiniteGroup) -> "SubgroupSeries":
     if hit is None:
         terms = [whole_subgroup(G)]
         while not terms[-1].is_trivial():
-            nxt = commutator_subgroup(G, terms[-1], whole_subgroup(G))
+            nxt = normal_closure(G, _commutators(G, terms[-1].witness_list(), G.generators))
             if nxt.bits == terms[-1].bits:
                 raise InvariantViolation("lower central series stalled above 1")
             terms.append(nxt)
@@ -711,12 +720,14 @@ def _fibers(maps: Sequence[List[int]], n: int) -> Tuple[array, array]:
 def _coset_bits(G: FiniteGroup, T: GroupTables, elems: List[int], x: int) -> int:
     """Bits of Nx u Nx^2 u ... u Nx^(p-1), N having the elements elems.
 
-    Each coset is a gather of the previous one along x's word.
+    Each coset is a gather of the previous one along x's word, looked up once.
     """
     flags = bytearray(b"0") * G.order
+    word = [T.right[k].__getitem__ for k in T.word(x)]
     coset = elems
     for _ in range(G.p - 1):
-        coset = T.right_mul(coset, x)
+        for step in word:
+            coset = list(map(step, coset))
         for y in coset:
             flags[y] = 49  # ord("1")
     return int(flags[::-1], 2)

@@ -12,15 +12,19 @@ quotient-group eta machinery (``quotient_upper_eta_series`` and
 ``sweep_pc_group`` (the former pc consistency certificate), ``pwh_bfs``
 (the former cross-check of greedy powerful height), ``random_eta_series``
 (the former sampler of eta-series, now certified in full by ``verify``),
-``eta_over_by_join`` (the former eta step, a join instead of a scan) and
+``eta_over_by_join`` (the former eta step, a join instead of a scan),
+``orbit_closure`` and ``orbit_normal_closure`` (the former closures, which
+multiplied every member by every witness again for each new witness) and
 the closure versions
 of [M, G], M^(p^i) and Omega_i(G) (``closure_commutator_with_group``,
 ``closure_power_subgroup``, ``closure_omega_subgroup``), which the library
 now reads off G's lattice once it is cached.  ``product_tables`` multiplies
 out the tables and power maps that quotients and subgroup groups gather
-through their parent's.  ``gaussian_binomial`` and ``birkhoff_count`` are
-closed-form counts of subspaces and of the subgroups of each type of an
-abelian p-group, independent of any enumeration.  ``LeftCollector`` is the
+through their parent's, and ``word_mul_table`` composes a whole
+multiplication table from the multiplied-out generator tables.
+``gaussian_binomial`` and ``birkhoff_count`` are closed-form counts of
+subspaces and of the subgroups of each type of an abelian p-group,
+independent of any enumeration.  ``LeftCollector`` is the
 library's former pc arithmetic, collection from the left, independent of
 the library's bulk-filled tables.
 """
@@ -46,6 +50,25 @@ from pgroups.subgroups import (
 
 def mul_table(G: FiniteGroup) -> List[List[int]]:
     return [[G.mul(a, b) for b in range(G.order)] for a in range(G.order)]
+
+
+def word_mul_table(G: FiniteGroup) -> List[Tuple[int, ...]]:
+    """G's multiplication table, like ``mul_table``, for groups too large to multiply out.
+
+    Only x g for the listed generators g is multiplied; the column of each
+    element is composed along a breadth-first word: a (b g) = (a b) g.
+    """
+    n = G.order
+    right = [[G.mul(x, g) for x in range(n)] for g in G.generators]
+    cols: List[Optional[List[int]]] = [None] * n
+    cols[0] = list(range(n))
+    reached = [0]
+    for b in reached:
+        for r in right:
+            if cols[r[b]] is None:
+                cols[r[b]] = list(map(r.__getitem__, cols[b]))
+                reached.append(r[b])
+    return list(zip(*cols))
 
 
 def naive_closure(table, elems) -> FrozenSet[int]:
@@ -430,8 +453,51 @@ def eta_over_by_join(G: FiniteGroup, K: Subgroup, N: Subgroup) -> Subgroup:
     return join(G, [M for M in powerfully_embedded_over(G, K) if M <= N])
 
 
+def _orbit_close(G: FiniteGroup, flags, members: List[int], witnesses: List[int], gens) -> None:
+    """Extend (flags, members) by each gen outside it: every member times every witness again."""
+    for x in gens:
+        if flags[x]:
+            continue
+        witnesses.append(x)
+        flags[x] = 1
+        members.append(x)
+        queue = members[:]
+        while queue:
+            y = queue.pop()
+            for g in witnesses:
+                z = G.mul(y, g)
+                if not flags[z]:
+                    flags[z] = 1
+                    members.append(z)
+                    queue.append(z)
+
+
+def orbit_closure(G: FiniteGroup, gens) -> Tuple[int, List[int]]:
+    """The bits and witnesses of the subgroup generated by gens, by the former orbit closure."""
+    flags, members, witnesses = bytearray(G.order), [0], []
+    flags[0] = 1
+    _orbit_close(G, flags, members, witnesses, gens)
+    return sum(1 << x for x in members), witnesses
+
+
+def orbit_normal_closure(G: FiniteGroup, gens) -> Tuple[int, List[int]]:
+    """The bits and witnesses of the normal closure of gens, by the former algorithm.
+
+    Each round conjugates every witness by every generator and closes in
+    the conjugates outside, until none is outside.
+    """
+    flags, members, witnesses = bytearray(G.order), [0], []
+    flags[0] = 1
+    _orbit_close(G, flags, members, witnesses, gens)
+    while True:
+        extra = [c for w in witnesses for g in G.generators if not flags[c := G.conj(w, g)]]
+        if not extra:
+            return sum(1 << x for x in members), witnesses
+        _orbit_close(G, flags, members, witnesses, extra)
+
+
 def closure_commutator_with_group(G: FiniteGroup, M: Subgroup) -> Subgroup:
-    """[M, G] as the normal closure of the witness-pair commutators."""
+    """[M, G] as the closure of the witness-pair commutators under conjugation."""
     return commutator_subgroup(G, M, whole_subgroup(G))
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -257,6 +258,35 @@ def test_cli_exit_code_of_every_error_class(monkeypatch, capsys):
 
         monkeypatch.setattr(cli, "_load_groups", fail)
         assert main(["analyze", "--catalog", "heisenberg"]) == EXIT_CODES[name], name
+
+
+# each passes every other input check; its order p^e exceeds the element cap
+_OVER_CAP = {
+    "abelian-exps": {"kind": "abelian", "exps": [100_000_000]},
+    "semidirect-t": {"kind": "semidirect", "m": {"exps": [1]}, "alpha": [[1]], "t": 100_000_000},
+    "pc-ngens": {"kind": "pc", "ngens": 100_000_000},
+    "unitriangular-n": {"kind": "unitriangular", "n": 100_000, "m": 1},
+    "mainline-k": ["--catalog", "mainline_coclass1", "--param", "k=100000000"],
+    "unitriangular-m": ["--catalog", "unitriangular", "--param", "n=3", "--param", "m=100000000"],
+    "heisenberg-p": ["--catalog", "heisenberg", "--prime", "1000000000000000003"],
+    "mann-p": ["--catalog", "mann_nonpf", "--prime", "10007"],
+}
+
+
+@pytest.mark.parametrize("source", list(_OVER_CAP.values()), ids=list(_OVER_CAP))
+def test_cli_rejects_an_order_over_the_cap_before_building(source, tmp_path, capsys):
+    # the order is checked from p and e, so a huge p^e is never computed
+    # and nothing is built
+    if isinstance(source, dict):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"format": "pgroup-v1", "prime": 3, **source}))
+        source = [str(path)]
+    start = time.perf_counter()
+    code = main(["analyze", *source])
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_CODES["SizeLimitExceeded"]
+    assert "SizeLimitExceeded" in capsys.readouterr().err
+    assert elapsed < 1.0
 
 
 # every command that enumerates a lattice enumerates the input group first,

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -135,6 +136,50 @@ def test_commutator_nonnormal_arguments(groups):
     table = oracles.mul_table(G)
     want = oracles.naive_commutator_set(table, set(A.elements()), set(B.elements()))
     assert set(got.elements()) == set(want)
+
+
+# closures grow by cosets; orders 3^5, 3^6 and 3^7, with non-normal subgroups
+CLOSURE_GROUPS = [
+    ("mann_nonpf", {"p": 3}),
+    ("unitriangular", {"n": 3, "p": 3, "m": 2}),
+    ("mainline_coclass1", {"p": 3, "k": 6}),
+]
+
+
+@pytest.mark.parametrize("name, params", CLOSURE_GROUPS, ids=[n for n, _ in CLOSURE_GROUPS])
+def test_coset_closures_match_the_former_orbit_closure(name, params, groups):
+    G = groups(name, **params)
+    rng = random.Random(f"closures {name}")
+    for _ in range(12):
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            x, y = rng.randrange(G.order), rng.randrange(G.order)
+            gens.append(rng.choice([x, G.pth_power(x), G.comm(x, y)]))
+        H = closure(G, gens)
+        assert (H.bits, H.witness_list()) == oracles.orbit_closure(G, gens), gens
+        N = normal_closure(G, gens)
+        assert (N.bits, N.witness_list()) == oracles.orbit_normal_closure(G, gens), gens
+
+
+@pytest.mark.parametrize("name, params", CLOSURE_GROUPS, ids=[n for n, _ in CLOSURE_GROUPS])
+def test_commutator_subgroup_of_non_normal_pairs_matches_the_naive_oracle(name, params, groups):
+    G = groups(name, **params)
+    table = oracles.word_mul_table(G)
+    rng = random.Random(f"commutators {name}")
+    pairs = 0
+    for _ in range(200):
+        A = closure(G, [rng.randrange(G.order)])
+        B = closure(G, [rng.randrange(G.order) for _ in range(rng.randint(1, 2))])
+        # the oracle scans for an inverse per pair, so keep |A||B| small
+        if A.is_normal() and B.is_normal() or A.order * B.order > 2000:
+            continue
+        got = commutator_subgroup(G, A, B)
+        want = oracles.naive_commutator_set(table, list(A.elements()), list(B.elements()))
+        assert set(got.elements()) == set(want)
+        pairs += 1
+        if pairs == 5:
+            break
+    assert pairs == 5
 
 
 def test_iterated_commutator(groups):

@@ -148,8 +148,8 @@ def test_default_suite_backend_products_are_bounded():
     # without timing anything: every root backend hands over its right
     # tables, and the abelian and semidirect ones their p-th power maps, so
     # what is left is the power walks of the pc and unitriangular groups and
-    # the closures and conjugations of analyze itself: 4,055 products on the
-    # 18 groups
+    # the closures and conjugations of analyze itself: 2,483 products on the
+    # 18 groups, where the former orbit closure took 4,055
     calls = [0]
     for name, params in cat.DEFAULT_SUITE:
         G = cat.catalog_build(name, **params)
@@ -211,7 +211,8 @@ def test_default_verify_backend_products_are_bounded(monkeypatch):
     # cosets, tables and power maps through its root group's tables, and
     # the root groups hand over their own tables in bulk; what is left is
     # the pc and unitriangular power walks and the closures and
-    # conjugations of verify itself: 3,401 products on the 15 groups
+    # conjugations of verify itself: 2,353 products on the 15 groups, where
+    # the former orbit closure took 3,401
     calls = [0]
     build = cat.catalog_build
 
@@ -229,6 +230,26 @@ def test_default_verify_backend_products_are_bounded(monkeypatch):
     monkeypatch.setattr(cat, "catalog_build", counting_build)
     assert all(r.passed for r in verify.run_suites(list(verify.SUITES)))
     assert calls[0] <= 11_000
+
+
+def test_cold_lower_central_series_products_are_bounded():
+    # closures grow by whole cosets, one product per new element, and each
+    # normal-closure round conjugates only the witnesses the last one added:
+    # 4,605 products on mainline_coclass1 p=5 k=6, where the former orbit
+    # closure took 19,551
+    G = cat.catalog_build("mainline_coclass1", p=5, k=6)
+    G.cache.clear()  # the build checked the class, so start cold
+    G._inv.clear()
+    calls = [0]
+    mul = G.mul
+
+    def counting(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    G.mul = counting
+    assert len(sg.lower_central_series(G)) == 7
+    assert calls[0] <= 6_000
 
 
 def test_pc_build_builds_no_lattice_tables():
