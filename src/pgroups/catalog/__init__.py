@@ -19,6 +19,7 @@ from ..errors import ParamOutOfRange, UnknownName
 from ..groups import (
     FiniteGroup,
     PcPresentation,
+    _check_cap,
     build_abelian,
     build_from_pc,
     build_semidirect,
@@ -264,7 +265,11 @@ def resolve_params(name: str, params: Params) -> Params:
 
 
 def catalog_instances(name: str, /, **params: object) -> List[FiniteGroup]:
+    """The groups of a catalog entry, refused before any is built if over the element cap."""
     full = resolve_params(name, dict(params))
+    p, e = _instance_exponent(name, full)
+    validate_odd_prime(p)
+    _check_cap(p, e, instance_key(name, full))
     return ENTRIES[name].expand(full)
 
 
@@ -321,24 +326,32 @@ def suite_instances(max_order: Optional[int] = None) -> List[Tuple[str, Params]]
 
 
 def _instance_order(name: str, params: Params) -> int:
+    p, e = _instance_exponent(name, params)
+    return p**e
+
+
+def _instance_exponent(name: str, params: Params) -> Tuple[int, int]:
+    """(p, e) with p^e the order of each group the instance expands to; p^e is not computed."""
     p = int(params.get("p", 3))  # type: ignore[call-overload]
+    if name == "order27_all":
+        return 3, 3
     if name in ("heisenberg", "modular"):
-        return p**3
+        return p, 3
     if name == "abelian":
-        return p ** sum(params["exps"])  # type: ignore[arg-type]
+        return p, sum(params["exps"])  # type: ignore[arg-type]
     if name == "unitriangular":
         n, m = int(params["n"]), int(params["m"])  # type: ignore[call-overload]
-        return p ** (m * n * (n - 1) // 2)
+        return p, m * n * (n - 1) // 2
     if name == "mann_nonpf":
-        return p ** (p + 2)
+        return p, p + 2
     if name == "potent_nopwc":
-        return p ** (int(params["n"]) * (p - 1) + 1)  # type: ignore[call-overload]
+        return p, int(params["n"]) * (p - 1) + 1  # type: ignore[call-overload]
     if name == "kirillov_quotient":
-        return p ** (p * int(params["e"]) + int(params["e"]))  # type: ignore[call-overload]
+        return p, p * int(params["e"]) + int(params["e"])  # type: ignore[call-overload]
     if name == "mainline_coclass1":
-        return p ** (int(params["k"]) + 1)  # type: ignore[call-overload]
+        return p, int(params["k"]) + 1  # type: ignore[call-overload]
     if name == "wreath":
-        return p ** (p + 1)
+        return p, p + 1
     raise UnknownName(name)
 
 

@@ -10,10 +10,11 @@ Every root backend also hands over, in bulk, the right table x -> x g of
 each listed generator g (``right_table``), which ``subgroups.GroupTables``
 reads instead of multiplying.  Abelian and semidirect backends give their
 p-th power map the same way (``power_map``); pc and unitriangular groups
-walk it with ``mul``.  The abelian and unitriangular tables are built over
-the element index digit by digit, and an endomorphism of an abelian group
-is extended from its generator images the same way
-(``_AbelianBackend.extend``).
+walk it through those right tables, each step a fold of a word, with no
+product (``FiniteGroup._power_walk``).  The abelian and unitriangular
+tables are built over the element index digit by digit, and an
+endomorphism of an abelian group is extended from its generator images
+the same way (``_AbelianBackend.extend``).
 
 Groups are immutable after construction; per-group caches are filled
 lazily and idempotently.
@@ -132,10 +133,10 @@ class FiniteGroup:
         return result
 
     def inv(self, x: int) -> int:
-        """x^-1 = x^(|G|-1), memoized per element."""
+        """x^-1 = x^(m-1) with m = p^k the order of x, memoized per element."""
         hit = self._inv.get(x)
         if hit is None:
-            hit = self.pow(x, self.order - 1)
+            hit = self.pow(x, self.element_order(x) - 1)
             self._inv[x] = hit
         return hit
 
@@ -152,7 +153,7 @@ class FiniteGroup:
         """The cached p-th power map: pth_map()[x] == x**p.  Callers must not mutate it.
 
         A backend with a ``power_map`` (abelian, semidirect) hands it over in
-        bulk; every other group walks it with ``mul`` (``_power_walk``).
+        bulk; every other group walks it (``_power_walk``).
         """
         if self._pth is None:
             bulk = getattr(self.backend, "power_map", None)
@@ -167,29 +168,33 @@ class FiniteGroup:
 
         From each x no earlier walk reached, walk x, x^2, ..., x^m = 1.  With
         m = p^k, x^i has p-th power x^(ip mod m).  The walk takes m - 1
-        products and reaches every generator of <x>, none of which an
+        steps y -> y x and reaches every generator of <x>, none of which an
         earlier walk reached (it would have reached x too): at least
         phi(m) = m (p - 1) / p new elements.  So the whole map takes fewer
-        than p (|G| - 1) / (p - 1) products.  A walk that passes |G| steps
+        than p (|G| - 1) / (p - 1) steps, each a fold of x's word through
+        right tables (``_right_factors``).  A walk that passes |G| steps
         without the identity, or ends at an order that is not a power of p,
         raises InconsistentPresentation.
         """
-        mul, p, n = self.mul, self.p, self.order
+        p, n = self.p, self.order
+        factors = self._right_factors()
         pth = [-1] * n
         pth[0] = 0
         for x in range(1, n):
             if pth[x] >= 0:
                 continue
+            tabs = factors(x)
             # walk[i] = x^i for 0 <= i < m
-            walk = [0, x]
-            y = mul(x, x)
+            walk = [0]
+            y = x
             while y:
                 if len(walk) >= n:
                     raise InconsistentPresentation(
                         f"element {x} has non-p-power order (power cycle misses identity)"
                     )
                 walk.append(y)
-                y = mul(y, x)
+                for tab in tabs:
+                    y = tab[y]
             m = len(walk)
             q = 1
             while q < m:
@@ -201,6 +206,32 @@ class FiniteGroup:
             for z, zp in zip(walk, walk[::p] * p):
                 pth[z] = zp
         return pth
+
+    def _right_factors(self) -> Callable[[int], Sequence[Sequence[int]]]:
+        """x -> tables whose fold, first to last, sends each y to y x.
+
+        A backend with right tables gives one for each listed generator, and
+        one breadth-first word tree over them (``_reach``) spells x as
+        g_(k_1) ... g_(k_m): its tables are those of k_1, ..., k_m, and no
+        product is taken.  An element the tree does not reach, and every
+        element of a group with no right tables, gets the single factor
+        y -> mul(y, x).
+        """
+        right_of = getattr(self.backend, "right_table", None)
+        right = [right_of(g) for g in self.generators] if right_of is not None else []
+        _, parent, gen = _reach(right, self.order)
+
+        def factors(x: int) -> Sequence[Sequence[int]]:
+            if parent[x] < 0:
+                return [_RightMul(self.mul, x)]
+            tabs = []
+            while x:
+                tabs.append(right[gen[x]])
+                x = parent[x]
+            tabs.reverse()
+            return tabs
+
+        return factors
 
     def order_exponent(self, x: int) -> int:
         """k such that the order of x is p**k."""
@@ -227,6 +258,40 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label}, p={self.p}, order={self.order})"
+
+
+class _RightMul:
+    """y -> y x through ``mul``, read like a right table."""
+
+    __slots__ = ("mul", "x")
+
+    def __init__(self, mul: Callable[[int, int], int], x: int) -> None:
+        self.mul = mul
+        self.x = x
+
+    def __getitem__(self, y: int) -> int:
+        return self.mul(y, self.x)
+
+
+def _reach(right: Sequence[List[int]], n: int) -> Tuple[List[int], List[int], List[int]]:
+    """The elements reached from the identity through the tables right, breadth first.
+
+    Returns them in that order with the word tree: x = parent[x] g_(gen[x]),
+    and parent[x] == -1 for each x not reached (parent[0] == 0).
+    """
+    tree = [0]
+    parent = [-1] * n
+    parent[0] = 0
+    gen = [0] * n
+    for x in tree:
+        for k, r in enumerate(right):
+            y = r[x]
+            if parent[y] < 0:
+                parent[y] = x
+                gen[y] = k
+                tree.append(y)
+    return tree, parent, gen
+
 
 def _order_exponents(pth: List[int]) -> List[int]:
     """The order exponents read off a p-th power map, the only place they are derived.

@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, InvariantViolation, NotNormal
-from .groups import _TO_FLAGS, FiniteGroup, GroupHom, _from_flags, bits_iter, log_p
+from .groups import _TO_FLAGS, FiniteGroup, GroupHom, _from_flags, _reach, bits_iter, log_p
 
 NORMAL_SUBGROUP_BUDGET = 1_000_000
 
@@ -401,26 +401,6 @@ class GroupTables:
         return elems
 
 
-def _reach(right: Sequence[List[int]], n: int) -> Tuple[List[int], List[int], List[int]]:
-    """The elements reached from the identity through the tables right, breadth first.
-
-    Returns them in that order with the word tree: x = parent[x] g_(gen[x]),
-    and parent[x] == -1 for each x not reached (parent[0] == 0).
-    """
-    tree = [0]
-    parent = [-1] * n
-    parent[0] = 0
-    gen = [0] * n
-    for x in tree:
-        for k, r in enumerate(right):
-            y = r[x]
-            if parent[y] < 0:
-                parent[y] = x
-                gen[y] = k
-                tree.append(y)
-    return tree, parent, gen
-
-
 def _tables(G: FiniteGroup) -> GroupTables:
     """G's tables; a root group's are built on first use from its backend's right tables."""
     hit = G.cache.get("tables")
@@ -791,7 +771,9 @@ def enumerate_normal_subgroups(
     xs, start = _fibers(maps, n)
     # the only new elements that change a count are the images of the maps
     images = _bits_of(G, set().union(*maps))
-    to_digits = bytes(49 if c == len(maps) else 48 for c in range(256))
+    # counts -> digits: "1" exactly where all len(maps) maps land in N
+    to_digits = bytearray(b"0" * 256)
+    to_digits[len(maps)] = ord("1")
 
     def counts_with(counts: bytearray, new: int) -> bytearray:
         for y in bits_iter(new & images):

@@ -289,6 +289,21 @@ def test_cli_rejects_an_order_over_the_cap_before_building(source, tmp_path, cap
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize(
+    "source, named",
+    [
+        (_OVER_CAP["mainline-k"], "mainline_coclass1|k=100000000|p=3 would have order 3^100000001"),
+        (_OVER_CAP["mann-p"], "mann_nonpf|p=10007 would have order 10007^10009"),
+    ],
+    ids=["mainline-k", "mann-p"],
+)
+def test_cli_size_error_names_the_requested_group(source, named, capsys):
+    # the cap is checked on the requested instance before its builder runs,
+    # so the message gives its order, not that of a group built on the way
+    assert main(["analyze", *source]) == EXIT_CODES["SizeLimitExceeded"]
+    assert named in capsys.readouterr().err
+
+
 # every command that enumerates a lattice enumerates the input group first,
 # within --budget, so exceeding it is exit 3 and never a FAIL line
 _C9 = ["--catalog", "abelian", "--prime", "3", "--param", "exps=1,1"]

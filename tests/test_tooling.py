@@ -8,6 +8,7 @@ from pgroups import subgroups as sg
 from pgroups.groups import _PcBackend
 from pgroups.report import analyze_group
 
+import oracles
 from test_groups import class2_pres_3_8
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pgroups"
@@ -146,10 +147,11 @@ def test_only_entry_points_take_a_budget():
 def test_default_suite_backend_products_are_bounded():
     # the product count is deterministic, so it pins the cost of analyze
     # without timing anything: every root backend hands over its right
-    # tables, and the abelian and semidirect ones their p-th power maps, so
-    # what is left is the power walks of the pc and unitriangular groups and
-    # the closures and conjugations of analyze itself: 2,483 products on the
-    # 18 groups, where the former orbit closure took 4,055
+    # tables, the abelian and semidirect ones their p-th power maps, and the
+    # pc and unitriangular power walks step through the right tables, so
+    # what is left is the closures and conjugations of analyze itself: 1,184
+    # products on the 18 groups, where walking with mul and inverting by
+    # x^(|G|-1) took 2,483 and the former orbit closure 4,055
     calls = [0]
     for name, params in cat.DEFAULT_SUITE:
         G = cat.catalog_build(name, **params)
@@ -209,10 +211,11 @@ def test_default_suite_pe_tests_are_bounded(monkeypatch):
 def test_default_verify_backend_products_are_bounded(monkeypatch):
     # every quotient and subgroup group that verify builds gathers its
     # cosets, tables and power maps through its root group's tables, and
-    # the root groups hand over their own tables in bulk; what is left is
-    # the pc and unitriangular power walks and the closures and
-    # conjugations of verify itself: 2,353 products on the 15 groups, where
-    # the former orbit closure took 3,401
+    # the root groups hand over their own tables in bulk, and the pc and
+    # unitriangular power walks step through them; what is left is the
+    # closures and conjugations of verify itself: 1,080 products on the 15
+    # groups, where walking with mul and inverting by x^(|G|-1) took 2,353
+    # and the former orbit closure 3,401
     calls = [0]
     build = cat.catalog_build
 
@@ -273,3 +276,29 @@ def test_pc_build_decodes_no_element(monkeypatch):
     monkeypatch.setattr(_PcBackend, "decode", counting)
     build_from_pc(class2_pres_3_8())
     assert calls[0] == 0
+
+
+def test_power_walks_take_no_product():
+    # a root group with right tables steps each power walk through the
+    # tables of x's word, so the p-th power map takes no backend product,
+    # and it is still the map that G.mul gives
+    cases = [
+        cat.catalog_build("unitriangular", n=3, p=3, m=2),
+        cat.catalog_build("unitriangular", n=4, p=3, m=1),
+        cat.catalog_build("heisenberg", p=5),
+        build_from_pc(class2_pres_3_8()),
+    ]
+    for G in cases:
+        G._pth = None  # the pc build walked the map once; walk it again
+        calls = [0]
+        mul = G.mul
+
+        def counting(a, b, mul=mul):
+            calls[0] += 1
+            return mul(a, b)
+
+        G.mul = counting
+        got = G.pth_map()
+        assert calls[0] == 0, G.label
+        G.mul = mul
+        assert got == oracles.product_tables(G, [])[1], G.label
