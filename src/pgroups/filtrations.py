@@ -10,6 +10,7 @@ the normal-subgroup DAG, and witnesses are returned as certified chains.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, List, Optional, Sequence
 
 from .errors import NotAnEtaSeries, NotNormal, TheoremViolated, ValidationFailed
@@ -17,6 +18,7 @@ from .eta_series import is_eta_series, powerful_class
 from .groups import FiniteGroup
 from .subgroups import (
     Subgroup,
+    _flags,
     commutator_with_group,
     enumerate_normal_subgroups,
     iterated_commutator,
@@ -209,7 +211,7 @@ def omega_exponent_check(G: FiniteGroup) -> OmegaReport:
     while prev.order < G.order:
         om = omega_subgroup(G, i)
         if om.bits != prev.bits:
-            exp = p ** max(map(G.order_exponent, om.elements()))
+            exp = p ** max(compress(G.order_exponents(), _flags(G, om.bits)))
             bound = p ** (i + ell)
             if not power_subgroup(G, om, i + ell).is_trivial():
                 raise TheoremViolated(

@@ -233,18 +233,24 @@ class FiniteGroup:
 
         return factors
 
-    def order_exponent(self, x: int) -> int:
-        """k such that the order of x is p**k."""
+    def order_exponents(self) -> List[int]:
+        """The cached list of order exponents: x has order p**order_exponents()[x].
+
+        Callers must not mutate it.
+        """
         if self._ordexp is None:
             self._ordexp = _order_exponents(self.pth_map())
-        return self._ordexp[x]
+        return self._ordexp
+
+    def order_exponent(self, x: int) -> int:
+        """k such that the order of x is p**k."""
+        return self.order_exponents()[x]
 
     def element_order(self, x: int) -> int:
         return self.p ** self.order_exponent(x)
 
     def exponent(self) -> int:
-        self.order_exponent(0)  # derives the order exponents once
-        return self.p ** max(self._ordexp)
+        return self.p ** max(self.order_exponents())
 
     def is_abelian(self) -> bool:
         if self._abelian is None:
@@ -704,6 +710,7 @@ class _UnitriangularBackend:
         self.q = p**m
         self.positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
         self.order = self.q ** len(self.positions)
+        self._right: Dict[int, List[int]] = {}
 
     def matrix_of(self, x: int) -> List[List[int]]:
         n = self.n
@@ -753,8 +760,13 @@ class _UnitriangularBackend:
         table is built over the digits from the least significant up: with
         the lower digits done (stride s), the x whose next digits read c
         are c s plus those, and their images are the image of c plus the
-        images of those.
+        images of those.  Each table is built once and kept, so the power
+        walk and the lattice tables read the same list; callers must not
+        mutate it.
         """
+        hit = self._right.get(g)
+        if hit is not None:
+            return hit
         i = [self.transvection(j) for j in range(self.n - 1)].index(g)
         q, positions = self.q, self.positions
         table = [0]
@@ -771,6 +783,7 @@ class _UnitriangularBackend:
                 images = [(u + shift) % q * s for u in range(q)]
                 k += 1
             table = _stacked((image, table) for image in images)
+        self._right[g] = table
         return table
 
 

@@ -443,7 +443,10 @@ def test_lower_central_series_never_enumerates():
     assert "normals" not in H.cache
 
 
-def test_enumeration_takes_no_full_gathers(monkeypatch):
+def test_enumeration_gathers_once_per_distinct_key(monkeypatch):
+    # the candidates of N depend only on N n I, I the union of the images of
+    # x -> x^p and x -> [x, g_k]; one full gather per normal subgroup would
+    # take 345
     import pgroups.subgroups as sg
 
     calls = [0]
@@ -455,8 +458,20 @@ def test_enumeration_takes_no_full_gathers(monkeypatch):
 
     monkeypatch.setattr(sg, "_preimage", counting)
     G = cat.catalog_build("kirillov_quotient", p=3, e=2)
-    assert len(enumerate_normal_subgroups(G)) == 345
-    assert calls[0] == 0
+    normals = enumerate_normal_subgroups(G)
+    T = sg._tables(G)
+    images = sg._bits_of(G, set().union(T.pth, *T.comm_maps))
+    keys = {M.bits & images for M in normals}
+    assert (len(normals), len(keys)) == (345, 38)
+    assert calls[0] == len(keys)
+
+
+def test_enumeration_of_the_trivial_group():
+    # with one element, an itemgetter over the power map returns a scalar
+    G = cat.catalog_build("heisenberg", p=3)
+    Q, _ = quotient(G, whole_subgroup(G))
+    assert Q.order == 1
+    assert [(N.bits, N.witness_list()) for N in enumerate_normal_subgroups(Q)] == [(1, [])]
 
 
 def _gathered(gather, n):

@@ -106,7 +106,7 @@ def test_power_maps_have_one_derivation():
                 for sub in ast.walk(target)
                 if isinstance(sub, ast.Attribute) and sub.attr in ("_ordexp", "_pth")
             ]
-    assert ("groups.py:FiniteGroup.order_exponent", "_ordexp") in found
+    assert ("groups.py:FiniteGroup.order_exponents", "_ordexp") in found
     assert ("groups.py:FiniteGroup.pth_map", "_pth") in found
     outside = sorted({hit for hit in found if not hit[0].startswith("groups.py:")})
     assert outside == [("subgroups.py:_derived_group", "_pth")]
@@ -183,6 +183,23 @@ def test_enumeration_builds_each_normal_subgroup_once(monkeypatch):
         normals = sg.enumerate_normal_subgroups(cat.catalog_build(name, **params))
         assert calls[0] - before == len(normals) - 1, name
     assert calls[0] == 550
+
+
+def test_default_suite_candidate_gathers_are_bounded(monkeypatch):
+    # candidates are one full gather per distinct N n I, I the union of the
+    # images of x -> x^p and x -> [x, g_k]: 106 over the 18 lattices, where
+    # one per normal subgroup would take 568
+    calls = [0]
+    preimage = sg._preimage
+
+    def counting(*args):
+        calls[0] += 1
+        return preimage(*args)
+
+    monkeypatch.setattr(sg, "_preimage", counting)
+    for name, params in cat.DEFAULT_SUITE:
+        sg.enumerate_normal_subgroups(cat.catalog_build(name, **params))
+    assert calls[0] == 106
 
 
 def test_default_suite_pe_tests_are_bounded(monkeypatch):
@@ -302,3 +319,21 @@ def test_power_walks_take_no_product():
         assert calls[0] == 0, G.label
         G.mul = mul
         assert got == oracles.product_tables(G, [])[1], G.label
+
+
+def test_unitriangular_right_tables_are_built_once():
+    # the power walk and the lattice tables read the same right table of
+    # each transvection, which the backend builds once and keeps
+    G = cat.catalog_build("unitriangular", n=3, p=3, m=2)
+    right_table = G.backend.right_table
+    handed = []
+
+    def recording(g):
+        handed.append(right_table(g))
+        return handed[-1]
+
+    G.backend.right_table = recording
+    G.pth_map()
+    analyze_group(G)
+    assert len(handed) >= 2 * len(G.generators)
+    assert len({id(table) for table in handed}) == len(G.generators)
