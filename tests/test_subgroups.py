@@ -8,12 +8,13 @@ from pgroups import build_abelian
 from pgroups import catalog as cat
 from pgroups.errors import BudgetExceeded, InvariantViolation, NotNormal
 from pgroups.eta_series import upper_eta_series
-from pgroups.groups import FiniteGroup
+from pgroups.groups import FiniteGroup, bits_iter
 from pgroups.subgroups import (
     GroupTables,
     _QuotientBackend,
     _tables,
     center,
+    center_over,
     closure,
     coclass,
     commutator_subgroup,
@@ -444,26 +445,27 @@ def test_lower_central_series_never_enumerates():
 
 
 def test_enumeration_gathers_once_per_distinct_key(monkeypatch):
-    # the candidates of N depend only on N n I, I the union of the images of
-    # x -> x^p and x -> [x, g_k]; one full gather per normal subgroup would
-    # take 345
+    # each map f of the candidate test (x -> x^p, x -> [x, g_k]) sends every
+    # x into its image I_f, so f^-1(N) depends only on N n I_f: one gather
+    # per map and per distinct key, 43 on kirillov where one gather of every
+    # map per distinct N n I, I the union of the images, took 4 x 38 = 152
     import pgroups.subgroups as sg
 
     calls = [0]
-    preimage = sg._preimage
+    gathered = sg._gathered_preimage
 
     def counting(*args):
         calls[0] += 1
-        return preimage(*args)
+        return gathered(*args)
 
-    monkeypatch.setattr(sg, "_preimage", counting)
+    monkeypatch.setattr(sg, "_gathered_preimage", counting)
     G = cat.catalog_build("kirillov_quotient", p=3, e=2)
     normals = enumerate_normal_subgroups(G)
     T = sg._tables(G)
-    images = sg._bits_of(G, set().union(T.pth, *T.comm_maps))
-    keys = {M.bits & images for M in normals}
-    assert (len(normals), len(keys)) == (345, 38)
-    assert calls[0] == len(keys)
+    images = [sg._bits_of(G.order, set(f)) for f in [T.pth, *T.comm_maps]]
+    keys = [len({M.bits & image for M in normals}) for image in images]
+    assert (len(normals), keys) == (345, [32, 7, 3, 1])
+    assert calls[0] == sum(keys)
 
 
 def test_enumeration_of_the_trivial_group():
@@ -472,6 +474,64 @@ def test_enumeration_of_the_trivial_group():
     Q, _ = quotient(G, whole_subgroup(G))
     assert Q.order == 1
     assert [(N.bits, N.witness_list()) for N in enumerate_normal_subgroups(Q)] == [(1, [])]
+
+
+def test_center_over_matches_brute_force(groups):
+    # center_over reads the enumerator's preimage memo of the commutator
+    # maps; on every normal N it must be every x with [x, g] in N for all g
+    cases = [groups(name, **params) for name, params in cat.suite_instances(243)]
+    cases += cat.catalog_instances("order27_all")
+    for G in cases:
+        n = G.order
+        table = oracles.mul_table(G)
+        inv = [oracles.naive_inverse(table, x) for x in range(n)]
+        comms = [[table[table[table[inv[x]][inv[g]]][x]][g] for g in range(n)] for x in range(n)]
+        for N in enumerate_normal_subgroups(G):
+            want = {x for x in range(n) if all((N.bits >> c) & 1 for c in comms[x])}
+            assert set(center_over(G, N).elements()) == want, (G.label, N.order)
+
+
+def test_tables_preimage_matches_its_definition(monkeypatch):
+    # map 0 is x -> x^p and map k + 1 is x -> [x, g_k]; the preimage of a
+    # set S is memoised per map on S n I_f, I_f the map's image
+    import pgroups.subgroups as sg
+
+    calls = [0]
+    gathered = sg._gathered_preimage
+
+    def counting(*args):
+        calls[0] += 1
+        return gathered(*args)
+
+    monkeypatch.setattr(sg, "_gathered_preimage", counting)
+    rng = random.Random(2023)
+    M = cat.catalog_build("mainline_coclass1", p=3, k=4)
+    Q = quotient(M, center(M))[0]  # order 81, images of sizes 3, 9, 3
+    one = quotient(M, whole_subgroup(M))[0]  # order 1, the power map alone
+    # on fresh tables: two sets that agree on the power map's image share
+    # one gather, and a set that differs on it takes another
+    T = _tables(Q)
+    image = sg._bits_of(Q.order, set(T.pth))
+    S = rng.getrandbits(Q.order)
+    other = S ^ (rng.getrandbits(Q.order) & ~image)
+    assert other != S and other & image == S & image
+    calls[0] = 0  # center(M) gathered M's commutator maps
+    assert T.preimage(S, [0]) == T.preimage(other, [0])
+    assert calls[0] == 1
+    T.preimage(S ^ (1 << max(bits_iter(image))), [0])
+    assert calls[0] == 2
+    for G in (Q, one):
+        n, T = G.order, _tables(G)
+        maps = [[G.pow(x, G.p) for x in range(n)]]
+        maps += [[G.comm(x, g) for x in range(n)] for g in T.gens]
+        assert T.preimage(rng.getrandbits(n), []) == (1 << n) - 1, G.label
+        for S in [0, 1, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]:
+            want = [sum(1 << x for x in range(n) if (S >> f[x]) & 1) for f in maps]
+            assert [T.preimage(S, [k]) for k in range(len(maps))] == want, G.label
+            every = (1 << n) - 1
+            for w in want:
+                every &= w
+            assert T.preimage(S, range(len(maps))) == every, G.label
 
 
 def _gathered(gather, n):

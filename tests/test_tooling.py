@@ -186,20 +186,38 @@ def test_enumeration_builds_each_normal_subgroup_once(monkeypatch):
 
 
 def test_default_suite_candidate_gathers_are_bounded(monkeypatch):
-    # candidates are one full gather per distinct N n I, I the union of the
-    # images of x -> x^p and x -> [x, g_k]: 106 over the 18 lattices, where
-    # one per normal subgroup would take 568
+    # candidates are one single-map gather per map f (x -> x^p, x -> [x, g_k])
+    # and per distinct N n I_f, I_f the image of f: 167 over the 18
+    # lattices, where gathering every map once per distinct N n I, I the
+    # union of the images, took 354
     calls = [0]
-    preimage = sg._preimage
+    gathered = sg._gathered_preimage
 
     def counting(*args):
         calls[0] += 1
-        return preimage(*args)
+        return gathered(*args)
 
-    monkeypatch.setattr(sg, "_preimage", counting)
+    monkeypatch.setattr(sg, "_gathered_preimage", counting)
     for name, params in cat.DEFAULT_SUITE:
         sg.enumerate_normal_subgroups(cat.catalog_build(name, **params))
-    assert calls[0] == 106
+    assert calls[0] == 167
+
+
+def test_default_suite_table_reaches_are_bounded(monkeypatch):
+    # the prune skips the last kept generator, which the greedy pass saw the
+    # kept ones before it miss: 74 reaches over the 18 table builds, where
+    # trying it too took 92
+    calls = [0]
+    reach = sg._reach
+
+    def counting(*args):
+        calls[0] += 1
+        return reach(*args)
+
+    monkeypatch.setattr(sg, "_reach", counting)
+    for name, params in cat.DEFAULT_SUITE:
+        sg._tables(cat.catalog_build(name, **params))
+    assert calls[0] == 74
 
 
 def test_default_suite_pe_tests_are_bounded(monkeypatch):
