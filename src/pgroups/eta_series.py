@@ -14,8 +14,10 @@ So eta of every quotient G/N (pulled back to G), the upper eta-series,
 powerful height and the eta-series test are all read off G's one cached
 lattice: an eta step is its first member from the top to pass the test
 (``_eta_over``), and the steps make one greedy chain (``_eta_chain``).
-[M, G] and M^p are ``normal_hull`` lookups in that lattice (``subgroups``);
-the first of them enumerates it.  The powerfully-embedded test is N = 1.
+[M, G] is a ``normal_hull`` lookup in that lattice, and M^p its first
+member K with M inside the power map's memoised preimage of K, so no
+element of M is raised to a power (``subgroups``); the first of them
+enumerates the lattice.  The powerfully-embedded test is N = 1.
 """
 
 from __future__ import annotations

@@ -101,8 +101,8 @@ def analyze_group(
         out["pf"] = {
             "status": witness is not None,
             "witness_length": len(witness) if witness is not None else None,
-            # filtration terms as sorted element-index arrays
-            "witness": [sorted(t.elements()) for t in witness.terms]
+            # filtration terms as sorted element-index arrays (``elements`` ascends)
+            "witness": [list(t.elements()) for t in witness.terms]
             if witness is not None
             else None,
         }

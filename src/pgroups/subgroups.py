@@ -3,9 +3,11 @@
 A subgroup is identified by the bitset of its element indices (an int), so
 set algebra is big-integer arithmetic and deduplication is hashing.  All
 operations are pure functions of immutable inputs; results and expensive
-intermediates are memoized on the owning group's cache.  [N, G], powers
-and joins of normal subgroups, Omega_i and Phi are lookups in G's normal
-lattice (``normal_hull``), which is enumerated on first use.  Closures
+intermediates are memoized on the owning group's cache.  [N, G], joins of
+normal subgroups, Omega_i and Phi are lookups in G's normal lattice
+(``normal_hull``), which is enumerated on first use.  N^(p^i) of a normal
+N is a lookup too, certified by the power map's memoised preimage: the
+first lattice member K with N <= pre^i(K) (``power_subgroup``).  Closures
 remain for subgroups that need not be normal and for the lower central
 series.  They grow by whole right cosets, one product per new element:
 (H y) g = H (y g), so <H, x> is the union of the cosets reached from H x
@@ -218,37 +220,52 @@ def power_image(G: FiniteGroup, N: Subgroup, i: int) -> set:
 
 # -- derived subgroups: lookups in G's normal lattice ---------------------------
 #
-# Each derived subgroup below is normal and is the smallest normal subgroup
-# containing a set of elements read off the tables: [N, G] is generated as a
-# normal subgroup by the [x, g_k] with x in N (modulo that hull every x in N
-# commutes with every generator); M^(p^i) of a normal M is generated by the
-# p^i-th powers, a G-invariant set; Omega_i(G) by the elements of order at
-# most p^i.  So each one is ``normal_hull`` of that set, and the first of
-# them asked of G enumerates G's lattice, within the default budget.
+# Each derived subgroup below is normal and is read off G's lattice.  [N, G]
+# is generated as a normal subgroup by the [x, g_k] with x in N's witnesses
+# (modulo that hull every x in N commutes with every generator), and
+# Omega_i(G) by the elements of order at most p^i, so each is
+# ``normal_hull`` of that set.  M^(p^i) of a normal M needs the p^i-th
+# powers of all of M, not of its witnesses alone: it is the first member K,
+# from the hull of the witnesses' powers up, whose i-fold power-map
+# preimage holds M (``power_subgroup``).  The first of them asked of G
+# enumerates G's lattice, within the default budget.
 
 
 def _bits_of(n: int, elems: Iterable[int]) -> int:
-    """The bitset of a collection of elements of a group of order n."""
-    flags = bytearray(n)
+    """The bitset of a collection of elements of a group of order n.
+
+    Each element sets its bit of a little-endian byte string, so a few
+    elements cost a few steps and one n/8-byte conversion, not a parse of n
+    digits.
+    """
+    packed = bytearray((n + 7) >> 3)
     for y in elems:
-        flags[y] = 1
-    return _from_flags(flags)
+        packed[y >> 3] |= 1 << (y & 7)
+    return int.from_bytes(packed, "little")
 
 
-def normal_hull(G: FiniteGroup, bits: int, order: int = 0) -> Subgroup:
-    """The smallest normal subgroup of G that contains the element set bits.
+def _containing(G: FiniteGroup, bits: int, order: int = 0) -> Iterator[Subgroup]:
+    """The members of G's lattice that contain the element set bits, smallest first.
 
-    G's lattice is sorted by order, so this is its first member containing
-    bits.  The scan starts, by a bisection of the lattice's orders (cached
-    beside it), at ``order``, a known lower bound on the answer's
-    order (``bits.bit_count()`` is always one).  The first lookup in G
+    The lattice is sorted by (order, bits), and the scan starts, by a
+    bisection of its orders (cached beside it), at ``order``, a known lower
+    bound (``bits.bit_count()`` is always one).  The first lookup in G
     enumerates its lattice, within the default budget.
     """
     normals = enumerate_normal_subgroups(G)
     start = bisect_left(G.cache["normal_orders"], max(order, bits.bit_count()))
     for i in range(start, len(normals)):  # a slice would copy the rest of the lattice
         if bits | normals[i].bits == normals[i].bits:
-            return normals[i]
+            yield normals[i]
+
+
+def normal_hull(G: FiniteGroup, bits: int, order: int = 0) -> Subgroup:
+    """The smallest normal subgroup of G that contains the element set bits.
+
+    It is the first lattice member that contains bits (``_containing``).
+    """
+    for K in _containing(G, bits, order):
+        return K
     raise InvariantViolation(f"no normal subgroup of {G.label} contains the given set")
 
 
@@ -278,10 +295,24 @@ def iterated_commutator(G: FiniteGroup, N: Subgroup, k: int) -> Subgroup:
 
 
 def power_subgroup(G: FiniteGroup, N: Subgroup, i: int) -> Subgroup:
-    """Subgroup generated by the p^i-th powers of all elements of N.
+    """N^(p^i), the subgroup generated by the p^i-th powers of all elements of N.
 
-    For normal N this is a lookup in G's lattice, enumerated on first use;
-    otherwise a closure.
+    For normal N it is a lookup in G's lattice, enumerated on first use, and
+    no element of N is raised to a power.  Let pre(S) = {x : x^p in S}, the
+    power map's memoised preimage (``GroupTables.preimage``, map 0), and
+    low the normal hull of the p^i-th powers of N's witnesses, so low <=
+    N^(p^i).  N^(p^i) is characteristic in N, hence normal in G, and it is
+    the least subgroup that contains the p^i-th power of every x in N.  A
+    subgroup K contains all of them exactly when N <= pre^i(K), pre applied
+    i times.  So every lattice member K with N <= pre^i(K) contains
+    N^(p^i), and N^(p^i) is the only such member of its order: it is the
+    first one of the (order, bits)-sorted lattice.  The scan runs over the
+    members that contain the witnesses' powers (``_containing``), from low,
+    the first of them, up; a member it skips does not contain low, so it
+    is not N^(p^i).  The enumerator has filled pre(K) for every member K.
+    G always qualifies, so an empty scan is an InvariantViolation.
+
+    A non-normal N is the closure of its p^i-th powers.
     """
     if i == 0:
         return N
@@ -289,11 +320,27 @@ def power_subgroup(G: FiniteGroup, N: Subgroup, i: int) -> Subgroup:
     hit = G.cache.get(key)
     if hit is None:
         if N.is_normal():
-            hit = normal_hull(G, _bits_of(G.order, power_image(G, N, i)))
+            hit = _normal_power(G, N, i)
         else:
             hit = closure(G, sorted(power_image(G, N, i)))
         G.cache[key] = hit
     return hit
+
+
+def _normal_power(G: FiniteGroup, N: Subgroup, i: int) -> Subgroup:
+    """N^(p^i) for normal N, certified by pre^i (see ``power_subgroup``)."""
+    pth = G.pth_map()
+    powers = N._witnesses if N._witnesses is not None else list(N.elements())
+    for _ in range(i):
+        powers = list(map(pth.__getitem__, powers))
+    T = _tables(G)
+    for K in _containing(G, _bits_of(G.order, powers)):
+        pre = K.bits
+        for _ in range(i):
+            pre = T.preimage(pre, (0,))
+        if N.bits | pre == pre:
+            return K
+    raise InvariantViolation(f"no normal subgroup of {G.label} contains N^(p^{i})")
 
 
 def omega_subgroup(G: FiniteGroup, i: int) -> Subgroup:
@@ -396,7 +443,8 @@ class GroupTables:
         self.pth = G.pth_map()
         self.comm_maps = [[r[z] for z in walk(ginv, conj)] for r, ginv in zip(right, inverses)]
         self.comm = [itemgetter(*f) for f in self.comm_maps]
-        # per map f: (its gather, the bits of I_f, {S n I_f: f^-1(S)}), built on first use
+        # per map f: (its gather, or None for a map onto {1}, the bits of I_f,
+        # {S n I_f: f^-1(S)}), built on first use
         self._maps: List[Optional[tuple]] = [None] * (len(gens) + 1)
 
     def word(self, x: int) -> List[int]:
@@ -417,7 +465,11 @@ class GroupTables:
     def preimage(self, bits: int, maps: Iterable[int]) -> int:
         """Bitset of the x that each of maps (0: x -> x^p, k + 1: x -> [x, g_k]) sends into bits.
 
-        Each map's preimage is gathered once per distinct bits n I_f and memoised.
+        Each map's preimage is gathered once per distinct bits n I_f and
+        memoised.  A map whose image is {1} (the commutator map of a central
+        generator, the power map of an exponent-p group) sends G into every
+        set that holds 1 and into no other: it is never gathered, and it
+        leaves the AND as it is or empties it.
         """
         n = len(self.pth)
         out = (1 << n) - 1
@@ -425,9 +477,14 @@ class GroupTables:
             entry = self._maps[f]
             if entry is None:
                 values = self.comm_maps[f - 1] if f else self.pth
-                gather = self.comm[f - 1] if f else itemgetter(*values)
-                entry = self._maps[f] = (gather, _bits_of(n, set(values)), {})
+                image = _bits_of(n, set(values))
+                gather = None if image == 1 else self.comm[f - 1] if f else itemgetter(*values)
+                entry = self._maps[f] = (gather, image, {})
             gather, image, memo = entry
+            if image == 1:
+                if not bits & 1:
+                    return 0
+                continue
             key = bits & image
             hit = memo.get(key)
             if hit is None:

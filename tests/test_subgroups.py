@@ -8,7 +8,7 @@ from pgroups import build_abelian
 from pgroups import catalog as cat
 from pgroups.errors import BudgetExceeded, InvariantViolation, NotNormal
 from pgroups.eta_series import upper_eta_series
-from pgroups.groups import FiniteGroup, bits_iter
+from pgroups.groups import FiniteGroup, _from_flags, bits_iter
 from pgroups.subgroups import (
     GroupTables,
     _QuotientBackend,
@@ -28,6 +28,7 @@ from pgroups.subgroups import (
     minimal_generator_count,
     nilpotency_class,
     normal_closure,
+    normal_hull,
     omega_subgroup,
     power_image,
     power_subgroup,
@@ -217,6 +218,41 @@ def test_power_subgroup_is_closure_of_image(groups):
             for i in (1, 2):
                 img = power_image(G, N, i)
                 assert closure(G, sorted(img)).bits == power_subgroup(G, N, i).bits
+
+
+def test_normal_power_subgroups_match_closure_oracle_on_kirillov():
+    # M^(p^i) of a normal M is the first lattice member K with M <= pre^i(K),
+    # pre the power map's preimage, scanned from low, the normal hull of the
+    # p^i-th powers of M's witnesses.  On kirillov low lies strictly below
+    # M^p for 9 members M, so those answers come from the preimages alone
+    G = cat.catalog_build("kirillov_quotient", p=3, e=2)
+    pth = G.pth_map()
+    below = 0
+    for M in enumerate_normal_subgroups(G):
+        for i in (1, 2):
+            want = oracles.closure_power_subgroup(G, M, i).bits
+            assert power_subgroup(G, M, i).bits == want, (M.order, i)
+        powers = {pth[w] for w in M.witness_list()}
+        low = normal_hull(G, sum(1 << y for y in powers))
+        below += low.bits != power_subgroup(G, M, 1).bits
+    assert below == 9
+
+
+def test_bits_of_matches_its_flag_definition():
+    # _bits_of packs its elements into little-endian bytes; the definition
+    # sets one flag per element and reads the flags back as binary digits
+    import pgroups.subgroups as sg
+
+    rng = random.Random(24)
+    for n in (1, 2, 7, 8, 9, 27, 81, 243, 6561):
+        cases = [[], list(range(n)), [n - 1], [0, 0]]
+        cases += [rng.choices(range(n), k=rng.randrange(2 * n)) for _ in range(5)]
+        for elems in cases:
+            flags = bytearray(n)
+            for y in elems:
+                flags[y] = 1
+            assert sg._bits_of(n, elems) == _from_flags(flags), (n, elems)
+            assert sg._bits_of(n, set(elems)) == _from_flags(flags), (n, elems)
 
 
 def test_power_image_can_be_smaller_than_subgroup(groups):
@@ -447,8 +483,9 @@ def test_lower_central_series_never_enumerates():
 def test_enumeration_gathers_once_per_distinct_key(monkeypatch):
     # each map f of the candidate test (x -> x^p, x -> [x, g_k]) sends every
     # x into its image I_f, so f^-1(N) depends only on N n I_f: one gather
-    # per map and per distinct key, 43 on kirillov where one gather of every
-    # map per distinct N n I, I the union of the images, took 4 x 38 = 152
+    # per map and per distinct key, and none for the map onto {1} (a central
+    # generator's), 42 on kirillov where one gather of every map per
+    # distinct N n I, I the union of the images, took 4 x 38 = 152
     import pgroups.subgroups as sg
 
     calls = [0]
@@ -465,7 +502,8 @@ def test_enumeration_gathers_once_per_distinct_key(monkeypatch):
     images = [sg._bits_of(G.order, set(f)) for f in [T.pth, *T.comm_maps]]
     keys = [len({M.bits & image for M in normals}) for image in images]
     assert (len(normals), keys) == (345, [32, 7, 3, 1])
-    assert calls[0] == sum(keys)
+    assert images[3] == 1
+    assert calls[0] == sum(keys[:3]) == 42
 
 
 def test_enumeration_of_the_trivial_group():

@@ -187,9 +187,10 @@ def test_enumeration_builds_each_normal_subgroup_once(monkeypatch):
 
 def test_default_suite_candidate_gathers_are_bounded(monkeypatch):
     # candidates are one single-map gather per map f (x -> x^p, x -> [x, g_k])
-    # and per distinct N n I_f, I_f the image of f: 167 over the 18
-    # lattices, where gathering every map once per distinct N n I, I the
-    # union of the images, took 354
+    # and per distinct N n I_f, I_f the image of f, and none for a map onto
+    # {1}, which sends G into every N: 153 over the 18 lattices, where
+    # gathering those 14 maps too took 167, and gathering every map once per
+    # distinct N n I, I the union of the images, 354
     calls = [0]
     gathered = sg._gathered_preimage
 
@@ -200,7 +201,32 @@ def test_default_suite_candidate_gathers_are_bounded(monkeypatch):
     monkeypatch.setattr(sg, "_gathered_preimage", counting)
     for name, params in cat.DEFAULT_SUITE:
         sg.enumerate_normal_subgroups(cat.catalog_build(name, **params))
-    assert calls[0] == 167
+    assert calls[0] == 153
+
+
+def test_analysis_raises_only_surjectivity_images_to_powers(monkeypatch):
+    # M^p of a normal M is a lattice lookup certified by the power map's
+    # memoised preimage, with no pass over M's elements, so during analyze
+    # power_image serves is_power_surjective alone: 34 calls on the 18
+    # groups, one per i up to log_p of the exponent, where power_subgroup
+    # took 268 more
+    import sys
+
+    from pgroups import filtrations
+
+    callers = []
+    power_image = sg.power_image
+
+    def recording(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return power_image(*args)
+
+    monkeypatch.setattr(sg, "power_image", recording)
+    monkeypatch.setattr(filtrations, "power_image", recording)
+    for name, params in cat.DEFAULT_SUITE:
+        analyze_group(cat.catalog_build(name, **params))
+    assert set(callers) == {"is_power_surjective"}
+    assert len(callers) == 34
 
 
 def test_default_suite_table_reaches_are_bounded(monkeypatch):
