@@ -12,8 +12,10 @@ M/N is powerfully embedded in G/N exactly when [M, G] <= M^p N, and M^p N,
 a product of two normal subgroups, is again a member of G's normal lattice.
 So eta of every quotient G/N (pulled back to G), the upper eta-series,
 powerful height and the eta-series test are all read off G's one cached
-lattice: an eta step is its first member from the top to pass the test
-(``_eta_over``), and the steps make one greedy chain (``_eta_chain``).
+lattice: an eta step over K below N is the first member of the interval
+[K, N], scanned from the top, to pass the test (``_eta_over``), and the
+steps make one greedy chain (``_eta_chain``).  Every scan here is such an
+interval of the lattice (``subgroups.lattice_interval``).
 [M, G] is a ``normal_hull`` lookup in that lattice, and M^p its first
 member K with M inside the power map's memoised preimage of K, so no
 element of M is raised to a power (``subgroups``); the first of them
@@ -33,7 +35,7 @@ from .subgroups import (
     center_over,
     coclass,
     commutator_with_group,
-    enumerate_normal_subgroups,
+    lattice_interval,
     lower_central_term,
     nilpotency_class,
     normal_hull,
@@ -56,13 +58,9 @@ def is_powerful(G: FiniteGroup) -> bool:
 
 def _pe_over(G: FiniteGroup, M: Subgroup, N: Subgroup) -> bool:
     """M/N is powerfully embedded in G/N, i.e. [M, G] <= M^p N (N <= M normal)."""
-    mp = power_subgroup(G, M, 1)
-    if N.is_trivial():
-        mpn = mp.bits
-    else:
-        # M^p N is the normal subgroup of order |M^p| |N| / |M^p n N|
-        order = mp.order * N.order // (mp.bits & N.bits).bit_count()
-        mpn = normal_hull(G, mp.bits | N.bits, order).bits
+    mpn = power_subgroup(G, M, 1).bits
+    if not N.is_trivial():
+        mpn = normal_hull(G, mpn | N.bits).bits
     return commutator_with_group(G, M).bits | mpn == mpn
 
 
@@ -71,11 +69,7 @@ def powerfully_embedded_over(G: FiniteGroup, N: Subgroup) -> List[Subgroup]:
     key = ("pwe_over", N.bits)
     hit = G.cache.get(key)
     if hit is None:
-        hit = [
-            M
-            for M in enumerate_normal_subgroups(G)
-            if N.bits | M.bits == M.bits and _pe_over(G, M, N)
-        ]
+        hit = [M for M in lattice_interval(G, N.bits) if _pe_over(G, M, N)]
         G.cache[key] = hit
     return hit
 
@@ -90,22 +84,21 @@ def _eta_over(G: FiniteGroup, K: Subgroup, N: Subgroup) -> Subgroup:
 
     K <= N are normal.  If A/K and B/K pass, so does AB/K, as [AB, G] =
     [A, G][B, G] <= A^p B^p K <= (AB)^p K.  So M holds every passing member
-    and is the only one of its order: it is the first member of G's lattice,
-    from the top, to pass (K itself passes).  M is certified to contain the
-    preimage of Z(G/K) within N (central in G/K, so it passes).
-    With N = G, M is the preimage of eta(G/K).
+    and is the only one of its order: it is the first member of the lattice
+    interval [K, N], from the top, to pass (K itself passes).  M is
+    certified to contain the preimage of Z(G/K) within N (central in G/K,
+    so it passes).  With N = G, M is the preimage of eta(G/K).
     """
     key = ("eta_over", K.bits, N.bits)
     hit = G.cache.get(key)
     if hit is None:
-        kb, nb = K.bits, N.bits
         where = f"{G.label} over its normal subgroup of order {K.order}"
-        for e in reversed(enumerate_normal_subgroups(G)):
-            if kb | e.bits == e.bits and e.bits | nb == nb and _pe_over(G, e, K):
+        for e in lattice_interval(G, K.bits, N.bits, descending=True):
+            if _pe_over(G, e, K):
                 break
         else:
             raise InvariantViolation(f"no powerfully embedded step in {where}")
-        if (center_over(G, K).bits & nb) | e.bits != e.bits:
+        if (center_over(G, K).bits & N.bits) | e.bits != e.bits:
             raise InvariantViolation(f"the eta step of {where} does not contain the center")
         G.cache[key] = hit = e
     return hit
@@ -277,15 +270,12 @@ def _uniserial_report(G: FiniteGroup) -> UniserialReport:
             f"no shift 0 <= s <= {r - 1} satisfies gamma_i^p = gamma_(i+d) in {G.label}"
         )
     d = (p - 1) * p**found
-    gm = lower_central_term(G, m)
-    uniserial = True
-    for H in enumerate_normal_subgroups(G):
-        if H.is_trivial() or H.bits | gm.bits != gm.bits:
-            continue
-        hg = commutator_with_group(G, H)
-        if H.order != p * hg.order:
-            uniserial = False
-            break
+    # every nontrivial normal H <= gamma_m has |H : [H, G]| = p
+    uniserial = all(
+        H.order == p * commutator_with_group(G, H).order
+        for H in lattice_interval(G, 1, lower_central_term(G, m).bits)
+        if not H.is_trivial()
+    )
     return UniserialReport(
         applicable=True,
         coclass_r=r,

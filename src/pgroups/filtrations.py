@@ -4,7 +4,8 @@ A descending chain N = N_1 >= N_2 >= ... >= N_r = 1 of normal subgroups is a
 potent filtration of N in G when [N_i, G] <= N_{i+1} and
 [N_i, G, ..., G] <= N_{i+1}^p with p-1 copies of G.  N is PF-embedded when
 such a chain exists; PF-embedding is decided exactly by reachability over
-the normal-subgroup DAG, and witnesses are returned as certified chains.
+the normal-subgroup DAG, whose edges out of K run over the lattice interval
+[[K, G], K), and witnesses are returned as certified chains.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from .subgroups import (
     Subgroup,
     _flags,
     commutator_with_group,
-    enumerate_normal_subgroups,
     iterated_commutator,
     join,
+    lattice_interval,
     lower_central_term,
     omega_subgroup,
     power_image,
@@ -79,10 +80,11 @@ class PotentFiltration:
 def pf_embedding_witness(G: FiniteGroup, N: Subgroup) -> Optional[PotentFiltration]:
     """A potent filtration of N in G, or None when none exists.
 
-    Edges K -> M run over strictly smaller normal subgroups with
-    [K, G] <= M and [K, (p-1) G] <= M^p; a stalling step can always be elided
-    from a filtration, so strict descent loses no witnesses and the DFS
-    terminates without a depth bound.
+    Edges K -> M run over the lattice interval [[K, G], K), the normal
+    subgroups M < K with [K, G] <= M, scanned from the top, and keep those
+    with [K, (p-1) G] <= M^p; a stalling step can always be elided from a
+    filtration, so strict descent loses no witnesses and the DFS terminates
+    without a depth bound.
 
     The validated answer is cached per N, None included; callers must not
     mutate it.
@@ -98,7 +100,6 @@ def pf_embedding_witness(G: FiniteGroup, N: Subgroup) -> Optional[PotentFiltrati
 def _pf_search(G: FiniteGroup, N: Subgroup) -> Optional[PotentFiltration]:
     if N.is_trivial():
         return PotentFiltration(G, [N])
-    nodes = enumerate_normal_subgroups(G)
     memo: Dict[int, Optional[List[Subgroup]]] = {1: [trivial_subgroup(G)]}
 
     def search(K: Subgroup) -> Optional[List[Subgroup]]:
@@ -108,10 +109,8 @@ def _pf_search(G: FiniteGroup, N: Subgroup) -> Optional[PotentFiltration]:
         memo[K.bits] = None  # cut cycles (descent makes real cycles impossible)
         comm_bits = commutator_with_group(G, K).bits
         it_bits = iterated_commutator(G, K, G.p - 1).bits
-        for M in reversed(nodes):  # larger steps first; deterministic
-            if M.bits == K.bits or M.bits | K.bits != K.bits:
-                continue
-            if comm_bits | M.bits != M.bits:
+        for M in lattice_interval(G, comm_bits, K.bits, descending=True):  # larger first
+            if M.bits == K.bits:
                 continue
             mp = power_subgroup(G, M, 1).bits
             if it_bits | mp != mp:

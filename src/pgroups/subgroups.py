@@ -3,11 +3,13 @@
 A subgroup is identified by the bitset of its element indices (an int), so
 set algebra is big-integer arithmetic and deduplication is hashing.  All
 operations are pure functions of immutable inputs; results and expensive
-intermediates are memoized on the owning group's cache.  [N, G], joins of
-normal subgroups, Omega_i and Phi are lookups in G's normal lattice
-(``normal_hull``), which is enumerated on first use.  N^(p^i) of a normal
-N is a lookup too, certified by the power map's memoised preimage: the
-first lattice member K with N <= pre^i(K) (``power_subgroup``).  Closures
+intermediates are memoized on the owning group's cache.  G's normal
+lattice is enumerated on first use, and every scan of it, here and in the
+analysis modules, is an interval [lo, hi] of it (``lattice_interval``).
+[N, G], joins of normal subgroups, Omega_i and Phi are lookups in it: the
+first member above a set (``normal_hull``).  N^(p^i) of a normal N is a
+lookup too, certified by the power map's memoised preimage: the first
+lattice member K with N <= pre^i(K) (``power_subgroup``).  Closures
 remain for subgroups that need not be normal and for the lower central
 series.  They grow by whole right cosets, one product per new element:
 (H y) g = H (y g), so <H, x> is the union of the cosets reached from H x
@@ -17,7 +19,7 @@ under conjugation by the witnesses (``commutator_subgroup``).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
@@ -244,27 +246,34 @@ def _bits_of(n: int, elems: Iterable[int]) -> int:
     return int.from_bytes(packed, "little")
 
 
-def _containing(G: FiniteGroup, bits: int, order: int = 0) -> Iterator[Subgroup]:
-    """The members of G's lattice that contain the element set bits, smallest first.
+def lattice_interval(
+    G: FiniteGroup, lo: int, hi: Optional[int] = None, descending: bool = False
+) -> Iterator[Subgroup]:
+    """The members M of G's lattice with lo <= M <= hi, in (order, bits) order.
 
-    The lattice is sorted by (order, bits), and the scan starts, by a
-    bisection of its orders (cached beside it), at ``order``, a known lower
-    bound (``bits.bit_count()`` is always one).  The first lookup in G
-    enumerates its lattice, within the default budget.
+    lo is any element set and hi a lattice member, both as bits; hi None
+    stands for G.  The lattice is sorted by (order, bits), so the scan
+    visits only the orders |lo|..|hi|, bounded by a bisection of the orders
+    cached beside it; ``descending`` runs it from the top.  The first scan
+    of G enumerates its lattice, within the default budget.
     """
     normals = enumerate_normal_subgroups(G)
-    start = bisect_left(G.cache["normal_orders"], max(order, bits.bit_count()))
-    for i in range(start, len(normals)):  # a slice would copy the rest of the lattice
-        if bits | normals[i].bits == normals[i].bits:
+    orders = G.cache["normal_orders"]
+    stop = len(orders) if hi is None else bisect_right(orders, hi.bit_count())
+    span = range(bisect_left(orders, lo.bit_count()), stop)
+    for i in reversed(span) if descending else span:
+        bits = normals[i].bits
+        # each test ORs two |G|-bit ints; below a proper hi, most members fail M <= hi
+        if (hi is None or bits | hi == hi) and lo | bits == bits:
             yield normals[i]
 
 
-def normal_hull(G: FiniteGroup, bits: int, order: int = 0) -> Subgroup:
+def normal_hull(G: FiniteGroup, bits: int) -> Subgroup:
     """The smallest normal subgroup of G that contains the element set bits.
 
-    It is the first lattice member that contains bits (``_containing``).
+    It is the first lattice member of [bits, G] (``lattice_interval``).
     """
-    for K in _containing(G, bits, order):
+    for K in lattice_interval(G, bits):
         return K
     raise InvariantViolation(f"no normal subgroup of {G.label} contains the given set")
 
@@ -307,9 +316,9 @@ def power_subgroup(G: FiniteGroup, N: Subgroup, i: int) -> Subgroup:
     i times.  So every lattice member K with N <= pre^i(K) contains
     N^(p^i), and N^(p^i) is the only such member of its order: it is the
     first one of the (order, bits)-sorted lattice.  The scan runs over the
-    members that contain the witnesses' powers (``_containing``), from low,
-    the first of them, up; a member it skips does not contain low, so it
-    is not N^(p^i).  The enumerator has filled pre(K) for every member K.
+    members that contain the witnesses' powers (``lattice_interval``), from
+    low, the first of them, up; a member it skips does not contain low, so
+    it is not N^(p^i).  The enumerator has filled pre(K) for every member K.
     G always qualifies, so an empty scan is an InvariantViolation.
 
     A non-normal N is the closure of its p^i-th powers.
@@ -334,7 +343,7 @@ def _normal_power(G: FiniteGroup, N: Subgroup, i: int) -> Subgroup:
     for _ in range(i):
         powers = list(map(pth.__getitem__, powers))
     T = _tables(G)
-    for K in _containing(G, _bits_of(G.order, powers)):
+    for K in lattice_interval(G, _bits_of(G.order, powers)):
         pre = K.bits
         for _ in range(i):
             pre = T.preimage(pre, (0,))
@@ -378,13 +387,12 @@ class GroupTables:
     - ``pth``, the map x -> x^p: G's own list (``FiniteGroup.pth_map``).  A
       derived group has gathered it from its parent's before its tables are
       built;
-    - ``comm_maps[k]``, the map x -> [x, g_k] as a list, and ``comm[k]``, its
-      gather (an itemgetter over the same int objects).  Along the tree,
+    - ``comm_maps[k]``, the map x -> [x, g_k] as a list.  Along the tree,
       [y h, g] = [y, g]^h [h, g] = (g^-1)^(y h) g, so (g^-1)^x is walked
       down the tree through the conjugation tables z -> h^-1 z h, and those
       come from the walk x -> h^-1 x and ``right``.  No product is taken
       beyond those ``right_of`` and ``G.pth_map`` take, and the conjugation
-      tables are dropped once the gathers are built;
+      tables are dropped once the maps are built;
     - the preimage memo (``preimage``).  Map 0 is x -> x^p and map k + 1 is
       x -> [x, g_k].  Map f sends every x into its image I_f, so f^-1(S) =
       f^-1(S n I_f): each map is gathered once per distinct S n I_f, and
@@ -398,7 +406,7 @@ class GroupTables:
     the tables.
     """
 
-    __slots__ = ("gens", "right", "parent", "gen", "pth", "comm_maps", "comm", "_maps")
+    __slots__ = ("gens", "right", "parent", "gen", "pth", "comm_maps", "_maps")
 
     def __init__(self, G: FiniteGroup, right_of: Callable[[int], List[int]]) -> None:
         n = G.order
@@ -442,7 +450,6 @@ class GroupTables:
         self.gen = gen
         self.pth = G.pth_map()
         self.comm_maps = [[r[z] for z in walk(ginv, conj)] for r, ginv in zip(right, inverses)]
-        self.comm = [itemgetter(*f) for f in self.comm_maps]
         # per map f: (its gather, or None for a map onto {1}, the bits of I_f,
         # {S n I_f: f^-1(S)}), built on first use
         self._maps: List[Optional[tuple]] = [None] * (len(gens) + 1)
@@ -478,7 +485,7 @@ class GroupTables:
             if entry is None:
                 values = self.comm_maps[f - 1] if f else self.pth
                 image = _bits_of(n, set(values))
-                gather = None if image == 1 else self.comm[f - 1] if f else itemgetter(*values)
+                gather = None if image == 1 else itemgetter(*values)
                 entry = self._maps[f] = (gather, image, {})
             gather, image, memo = entry
             if image == 1:
@@ -579,7 +586,7 @@ def join(G: FiniteGroup, subs: Sequence[Subgroup]) -> Subgroup:
         bits = 0
         for H in subs:
             bits |= H.bits
-        return normal_hull(G, bits, max(H.order for H in subs))
+        return normal_hull(G, bits)
     gens: List[int] = []
     for H in subs:
         gens.extend(H.witness_list())
@@ -889,6 +896,6 @@ def enumerate_normal_subgroups(
         )
     result = sorted(seen.values(), key=lambda s: (s.order, s.bits))
     G.cache["normals"] = result
-    # normal_hull bisects these rather than take each probe's order
+    # lattice_interval bisects these to the orders it scans
     G.cache["normal_orders"] = [H.order for H in result]
     return result

@@ -13,6 +13,8 @@ quotient-group eta machinery (``quotient_upper_eta_series`` and
 (the former cross-check of greedy powerful height), ``random_eta_series``
 (the former sampler of eta-series, now certified in full by ``verify``),
 ``eta_over_by_join`` (the former eta step, a join instead of a scan),
+``pf_witness_by_closures`` (the former PF search, over the whole lattice
+with closures for [K, G], its iterates and M^p),
 ``orbit_closure`` and ``orbit_normal_closure`` (the former closures, which
 multiplied every member by every witness again for each new witness) and
 the closure versions
@@ -451,6 +453,43 @@ def eta_over_by_join(G: FiniteGroup, K: Subgroup, N: Subgroup) -> Subgroup:
     in N, with no scan order and no product lemma.
     """
     return join(G, [M for M in powerfully_embedded_over(G, K) if M <= N])
+
+
+def pf_witness_by_closures(G: FiniteGroup, N: Subgroup) -> Optional[List[int]]:
+    """The term bits of a potent filtration of the normal N in G, or None when none exists.
+
+    The former PF search: depth first from N over every normal subgroup
+    (``bfs_normal_subgroups``), larger ones first, with an edge K -> M for
+    each M < K with [K, G] <= M and [K, (p-1) G] <= M^p.  [K, G], its
+    iterates and M^p are closures (``closure_commutator_with_group``,
+    ``closure_power_subgroup``), not lattice lookups.
+    """
+    nodes = bfs_normal_subgroups(G)
+    powers: Dict[int, int] = {}
+    memo: Dict[int, Optional[List[int]]] = {1: [1]}
+
+    def search(K: Subgroup) -> Optional[List[int]]:
+        if K.bits in memo:
+            return memo[K.bits]
+        memo[K.bits] = None
+        comm = closure_commutator_with_group(G, K).bits
+        it = K
+        for _ in range(G.p - 1):
+            it = closure_commutator_with_group(G, it)
+        for M in reversed(nodes):
+            if M.bits == K.bits or not M <= K or comm | M.bits != M.bits:
+                continue
+            if M.bits not in powers:
+                powers[M.bits] = closure_power_subgroup(G, M, 1).bits
+            if it.bits | powers[M.bits] != powers[M.bits]:
+                continue
+            tail = search(M)
+            if tail is not None:
+                memo[K.bits] = [K.bits] + tail
+                return memo[K.bits]
+        return None
+
+    return search(N)
 
 
 def _orbit_close(G: FiniteGroup, flags, members: List[int], witnesses: List[int], gens) -> None:

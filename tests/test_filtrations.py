@@ -1,6 +1,7 @@
 import pytest
 
 from pgroups import build_abelian
+from pgroups import catalog as cat
 from pgroups.errors import NotAnEtaSeries, ValidationFailed
 from pgroups.eta_series import upper_eta_series
 from pgroups.filtrations import (
@@ -13,7 +14,9 @@ from pgroups.filtrations import (
     pf_embedding_witness,
     small_height_filtration,
 )
-from pgroups.subgroups import center, trivial_subgroup, whole_subgroup
+from pgroups.subgroups import center, enumerate_normal_subgroups, trivial_subgroup, whole_subgroup
+
+import oracles
 
 
 def test_is_potent(groups):
@@ -61,6 +64,23 @@ def test_mann_nonpf_is_not_pf(groups):
 
 def test_mainline_3_7_is_not_pf(groups):
     assert not is_pf_group(groups("mainline_coclass1", p=3, k=6))
+
+
+def test_pf_witness_matches_closure_search(groups):
+    # the search scans the lattice interval [[K, G], K) below each node K and
+    # reads [K, G] and M^p off the lattice; the oracle scans every member and
+    # takes closures: the same decision and the same witness on every normal
+    # subgroup of every catalog group of order <= 243
+    cases = [groups(name, **params) for name, params in cat.suite_instances(243)]
+    cases += cat.catalog_instances("order27_all")
+    decided = set()
+    for G in cases:
+        for N in enumerate_normal_subgroups(G):
+            filt = pf_embedding_witness(G, N)
+            got = None if filt is None else [T.bits for T in filt.terms]
+            assert got == oracles.pf_witness_by_closures(G, N), (G.label, N.order)
+            decided.add(filt is None)
+    assert decided == {True, False}
 
 
 def test_pf_embedded_proper_subgroup(groups):

@@ -24,6 +24,7 @@ from pgroups.subgroups import (
     is_maximal_class,
     iterated_commutator,
     join,
+    lattice_interval,
     lower_central_series,
     minimal_generator_count,
     nilpotency_class,
@@ -506,6 +507,29 @@ def test_enumeration_gathers_once_per_distinct_key(monkeypatch):
     assert calls[0] == sum(keys[:3]) == 42
 
 
+def test_lattice_interval_matches_filtered_lattice(groups):
+    # every member M with lo <= M <= hi, in lattice order, and the exact
+    # reverse when descending; lo is a member or an element set that is no
+    # subgroup, hi a member or None (G)
+    rng = random.Random(25)
+    for name, params in cat.suite_instances(729):
+        G = groups(name, **params)
+        normals = enumerate_normal_subgroups(G)
+        members = [M.bits for M in normals]
+        sets = [rng.getrandbits(G.order) for _ in range(3)]
+        sets += [1 | sum(1 << rng.randrange(G.order) for _ in range(2)) for _ in range(3)]
+        sets = [S for S in sets if S not in members]
+        assert sets, G.label
+        for lo in members + sets:
+            for hi in members + [None]:
+                top = (1 << G.order) - 1 if hi is None else hi
+                want = [M for M in normals if lo | M.bits == M.bits and M.bits | top == top]
+                got = list(lattice_interval(G, lo, hi))
+                assert [id(M) for M in got] == [id(M) for M in want], (G.label, lo, hi)
+                down = list(lattice_interval(G, lo, hi, descending=True))
+                assert [id(M) for M in down] == [id(M) for M in reversed(want)], G.label
+
+
 def test_enumeration_of_the_trivial_group():
     # with one element, an itemgetter over the power map returns a scalar
     G = cat.catalog_build("heisenberg", p=3)
@@ -572,12 +596,6 @@ def test_tables_preimage_matches_its_definition(monkeypatch):
             assert T.preimage(S, range(len(maps))) == every, G.label
 
 
-def _gathered(gather, n):
-    """gather applied to 0..n-1 as a list (itemgetter of one index gives a scalar)."""
-    out = gather(range(n))
-    return list(out) if n > 1 else [out]
-
-
 def _table_cases(groups):
     H = groups("heisenberg", p=3)
     return [
@@ -617,12 +635,11 @@ def _check_tables(G, T):
     n, gens = G.order, T.gens
     assert _is_subsequence(gens, G.generators), G.label
     assert len(gens) == minimal_generator_count(G), G.label
-    assert len(T.right) == len(T.comm) == len(T.comm_maps) == len(gens), G.label
+    assert len(T.right) == len(T.comm_maps) == len(gens), G.label
     assert T.pth == [G.pow(x, G.p) for x in range(n)], G.label
     for k, g in enumerate(gens):
         assert T.right[k] == [G.mul(x, g) for x in range(n)], G.label
         assert T.comm_maps[k] == [G.comm(x, g) for x in range(n)], G.label
-        assert _gathered(T.comm[k], n) == T.comm_maps[k], G.label
     for x in range(n):
         y = 0
         for k in T.word(x):

@@ -63,6 +63,44 @@ def test_analysis_modules_leave_closures_to_subgroups():
     assert found == []
 
 
+def test_analysis_modules_scan_the_lattice_through_one_interval():
+    # the analysis modules scan G's lattice through subgroups.lattice_interval
+    # alone, and only it and the enumerator read the lattice's order index
+    found = []
+    for name in ("eta_series.py", "filtrations.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text(), name)):
+            if isinstance(node, ast.ImportFrom):
+                used = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                used = [node.attr]
+            elif isinstance(node, ast.Name):
+                used = [node.id]
+            else:
+                continue
+            found += [
+                f"{name}:{node.lineno} {u}"
+                for u in used
+                if u in ("enumerate_normal_subgroups", "reversed")
+            ]
+    assert found == []
+    readers = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}
+        for qualname, fn in _functions(tree):
+            for node in ast.walk(fn):
+                owner[id(node)] = qualname
+        readers += [
+            f"{path.relative_to(SRC)}:{owner.get(id(node), '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value == "normal_orders"
+        ]
+    assert sorted(set(readers)) == [
+        "subgroups.py:enumerate_normal_subgroups",
+        "subgroups.py:lattice_interval",
+    ]
+
+
 def test_only_the_enumerator_touches_the_lattice_cache():
     # a derived subgroup that asked whether the lattice is cached would be
     # computed two ways, depending on call order

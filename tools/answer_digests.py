@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Print one sha256 per answer artifact, so two source trees can be compared.
+
+The artifacts are the canonical outputs that a change meant to keep the
+answers must leave byte-identical:
+  - ``analyze --json`` of each ``DEFAULT_SUITE`` group and of three larger
+    groups (3^11, 3^10 and 3^6 with 56,632 normal subgroups);
+  - ``verify all --json`` and ``verify all --extended --json``;
+  - ``series --type T --json`` of each ``DEFAULT_SUITE`` group for the three
+    series types, whose witness lists are part of the output.
+
+Each artifact is one ``pgroups.cli.main`` run in this process, with its
+stdout captured; a line reads ``<sha256>  rc=<exit code>  <command>``.  It
+takes no flags.  The package is imported from PYTHONPATH when it is found
+there, and from the tree this script lives in otherwise, so two trees
+compare as
+
+    PYTHONPATH=<tree a>/src python tools/answer_digests.py > a.txt
+    PYTHONPATH=<tree b>/src python tools/answer_digests.py > b.txt
+    diff a.txt b.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+# appended, so a tree named on PYTHONPATH comes first
+sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
+
+from pgroups import catalog as cat  # noqa: E402
+from pgroups.cli import main  # noqa: E402
+
+LARGE = [
+    ("mainline_coclass1", {"p": 3, "k": 10}),
+    ("unitriangular", {"n": 5, "p": 3, "m": 1}),
+    ("abelian", {"p": 3, "exps": (1,) * 6}),
+]
+
+SERIES_TYPES = ("eta", "upper-central", "lower-central")
+
+
+def catalog_args(name, params):
+    """The --catalog and --param arguments that select one catalog instance."""
+    args = ["--catalog", name]
+    for key, value in params.items():
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        args += ["--param", f"{key}={text}"]
+    return args
+
+
+def artifacts():
+    """The argument lists of every artifact, in a fixed order."""
+    for name, params in list(cat.DEFAULT_SUITE) + LARGE:
+        yield ["analyze", *catalog_args(name, params), "--json"]
+    yield ["verify", "all", "--json"]
+    yield ["verify", "all", "--extended", "--json"]
+    for kind in SERIES_TYPES:
+        for name, params in cat.DEFAULT_SUITE:
+            yield ["series", *catalog_args(name, params), "--type", kind, "--json"]
+
+
+def digest(argv):
+    """(sha256 of the stdout of ``pgroups argv``, its exit code)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    return hashlib.sha256(out.getvalue().encode()).hexdigest(), rc
+
+
+def run() -> None:
+    sys.stderr.write(f"pgroups from {Path(cat.__file__).resolve().parent.parent}\n")
+    for argv in artifacts():
+        sha, rc = digest(argv)
+        print(f"{sha}  rc={rc}  {' '.join(argv)}", flush=True)
+
+
+if __name__ == "__main__":
+    run()
