@@ -11,10 +11,12 @@ each listed generator g (``right_table``), which ``subgroups.GroupTables``
 reads instead of multiplying.  Abelian and semidirect backends give their
 p-th power map the same way (``power_map``); pc and unitriangular groups
 walk it through those right tables, each step a fold of a word, with no
-product (``FiniteGroup._power_walk``).  The abelian and unitriangular
-tables are built over the element index digit by digit, and an
-endomorphism of an abelian group is extended from its generator images
-the same way (``_AbelianBackend.extend``).
+product (``FiniteGroup._power_walk``).  A pc walk spells x by its
+exponent vector, which its index already is (``_PcBackend.word_tables``);
+only a unitriangular walk reads a breadth-first word tree.  The abelian
+and unitriangular tables are built over the element index digit by
+digit, and an endomorphism of an abelian group is extended from its
+generator images the same way (``_AbelianBackend.extend``).
 
 Groups are immutable after construction; per-group caches are filled
 lazily and idempotently.
@@ -160,9 +162,6 @@ class FiniteGroup:
             self._pth = bulk() if bulk is not None else self._power_walk()
         return self._pth
 
-    def pth_power(self, x: int) -> int:
-        return self.pth_map()[x]
-
     def _power_walk(self) -> List[int]:
         """The p-th power map, from one walk per cyclic subgroup.
 
@@ -172,7 +171,9 @@ class FiniteGroup:
         earlier walk reached (it would have reached x too): at least
         phi(m) = m (p - 1) / p new elements.  So the whole map takes fewer
         than p (|G| - 1) / (p - 1) steps, each a fold of x's word through
-        right tables (``_right_factors``).  A walk that passes |G| steps
+        right tables (``_right_factors``), read once per walk: a pc group
+        spells x by its exponent vector, and only a unitriangular one reads
+        a breadth-first word tree.  A walk that passes |G| steps
         without the identity, or ends at an order that is not a power of p,
         raises InconsistentPresentation.
         """
@@ -210,13 +211,18 @@ class FiniteGroup:
     def _right_factors(self) -> Callable[[int], Sequence[Sequence[int]]]:
         """x -> tables whose fold, first to last, sends each y to y x.
 
-        A backend with right tables gives one for each listed generator, and
-        one breadth-first word tree over them (``_reach``) spells x as
-        g_(k_1) ... g_(k_m): its tables are those of k_1, ..., k_m, and no
-        product is taken.  An element the tree does not reach, and every
-        element of a group with no right tables, gets the single factor
-        y -> mul(y, x).
+        A pc backend spells x by its exponent vector (``word_tables``): x's
+        index is its normal word, so its tables are read off its digits.
+        Another backend with right tables gives one for each listed
+        generator, and one breadth-first word tree over them (``_reach``)
+        spells x as g_(k_1) ... g_(k_m): its tables are those of k_1, ...,
+        k_m.  Either way no product is taken.  An element the tree does not
+        reach, and every element of a group with no right tables, gets the
+        single factor y -> mul(y, x).
         """
+        spell = getattr(self.backend, "word_tables", None)
+        if spell is not None:
+            return spell
         right_of = getattr(self.backend, "right_table", None)
         right = [right_of(g) for g in self.generators] if right_of is not None else []
         _, parent, gen = _reach(right, self.order)
@@ -443,6 +449,19 @@ class _PcBackend:
             if e
         ]
         return " ".join(letters) or "1"
+
+    def word_tables(self, x: int) -> List[List[int]]:
+        """The tables of x's normal word, letter by letter: their fold sends each u to u x.
+
+        x's radix-p digits are its exponents, read as ``mul`` reads b.
+        """
+        tabs = self._tab
+        out: List[List[int]] = []
+        for j, s in enumerate(self._strides, start=1):
+            if x >= s:
+                d, x = divmod(x, s)
+                out += [tabs[j]] * d
+        return out
 
     def mul(self, a: int, b: int) -> int:
         """a * b, with the letters of b's normal word applied one table at a time."""

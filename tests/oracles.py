@@ -245,7 +245,7 @@ def bfs_normal_subgroups(G: FiniteGroup) -> List[Subgroup]:
     maximal subgroup of M.  Sorted like the library's lattice.
     """
     n = G.order
-    gathers = [itemgetter(*[G.pth_power(x) for x in range(n)])]
+    gathers = [itemgetter(*G.pth_map())]
     gathers += [itemgetter(*[G.comm(x, g) for x in range(n)]) for g in G.generators]
     triv = trivial_subgroup(G)
     seen: Dict[int, Subgroup] = {triv.bits: triv}

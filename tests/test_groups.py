@@ -299,6 +299,64 @@ def test_pc_filled_tables_match_collection(pres, exponent):
         assert G.backend._tab[i] == [ref.mul_gen(u, i) for u in range(G.order)]
 
 
+@pytest.mark.parametrize(
+    "pres",
+    [
+        # class 2: g_1^3 = g_4, g_2^3 = g_5 g_6^2, [g_2, g_1] = g_6,
+        # [g_3, g_1] = g_5, [g_3, g_2] = g_4, with g_4, g_5, g_6 central
+        pytest.param(
+            PcPresentation(
+                3, 6,
+                powers={1: ((4, 1),), 2: ((5, 1), (6, 2))},
+                conjugates={
+                    (2, 1): ((2, 1), (6, 1)),
+                    (3, 1): ((3, 1), (5, 1)),
+                    (3, 2): ((3, 1), (4, 1)),
+                },
+            ),
+            id="class2-3^6",
+        ),
+        # class 3: g_j^(g_1) = g_j g_(j+1) for j = 2, 3, and g_1^5 = g_4
+        pytest.param(
+            PcPresentation(
+                5, 4,
+                powers={1: ((4, 1),)},
+                conjugates={(2, 1): ((2, 1), (3, 1)), (3, 1): ((3, 1), (4, 1))},
+            ),
+            id="class3-5^4",
+        ),
+        # class 2: g_1^5 = g_3, g_2^5 = g_4, [g_2, g_1] = g_3
+        pytest.param(
+            PcPresentation(
+                5, 4, powers={1: ((3, 1),), 2: ((4, 1),)}, conjugates={(2, 1): ((2, 1), (3, 1))}
+            ),
+            id="class2-5^4",
+        ),
+        # class 2: g_1^7 = g_3, g_2^7 = g_3^2, [g_2, g_1] = g_3^3
+        pytest.param(
+            PcPresentation(
+                7, 3, powers={1: ((3, 1),), 2: ((3, 2),)}, conjugates={(2, 1): ((2, 1), (3, 3))}
+            ),
+            id="class2-7^3",
+        ),
+    ],
+)
+def test_pc_power_map_matches_left_collection(pres):
+    # the power walk folds the filled tables along each x's normal word;
+    # the oracle collects x^p from the left, independently of those tables
+    G = build_from_pc(pres)
+    p = pres.p
+    assert G.exponent() == p * p
+    ref = oracles.LeftCollector(pres)
+    expected = []
+    for x in range(G.order):
+        y = x
+        for _ in range(p - 1):
+            y = ref.mul(y, x)
+        expected.append(y)
+    assert G.pth_map() == expected
+
+
 # -- unitriangular -------------------------------------------------------------
 
 

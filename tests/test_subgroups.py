@@ -157,7 +157,7 @@ def test_coset_closures_match_the_former_orbit_closure(name, params, groups):
         gens = []
         for _ in range(rng.randint(1, 4)):
             x, y = rng.randrange(G.order), rng.randrange(G.order)
-            gens.append(rng.choice([x, G.pth_power(x), G.comm(x, y)]))
+            gens.append(rng.choice([x, G.pth_map()[x], G.comm(x, y)]))
         H = closure(G, gens)
         assert (H.bits, H.witness_list()) == oracles.orbit_closure(G, gens), gens
         N = normal_closure(G, gens)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 from pgroups import build_from_pc
 from pgroups import catalog as cat
-from pgroups import eta_series, verify
+from pgroups import eta_series, groups, verify
 from pgroups import subgroups as sg
 from pgroups.groups import _PcBackend
 from pgroups.report import analyze_group
@@ -364,7 +364,8 @@ def test_pc_build_builds_no_lattice_tables():
 
 def test_pc_build_decodes_no_element(monkeypatch):
     # the tables are filled in bulk and the overlap test and the power walk
-    # run over them, so no element is ever decoded into an exponent vector
+    # run over them, so no element is ever decoded into an exponent list;
+    # the walk reads each x's digits straight into its word's tables
     calls = [0]
     decode = _PcBackend.decode
 
@@ -375,6 +376,25 @@ def test_pc_build_decodes_no_element(monkeypatch):
     monkeypatch.setattr(_PcBackend, "decode", counting)
     build_from_pc(class2_pres_3_8())
     assert calls[0] == 0
+
+
+def test_only_unitriangular_power_walks_build_a_word_tree(monkeypatch):
+    # a pc element's index is its normal word, so a pc power walk spells x
+    # by its exponent vector and builds no breadth-first word tree; the
+    # transvections of a unitriangular group do not spell elements by
+    # coordinates, so its walk still reads one tree
+    calls = [0]
+    reach = groups._reach
+
+    def counting(*args):
+        calls[0] += 1
+        return reach(*args)
+
+    monkeypatch.setattr(groups, "_reach", counting)
+    build_from_pc(class2_pres_3_8())
+    assert calls[0] == 0
+    cat.catalog_build("unitriangular", n=3, p=3, m=2).pth_map()
+    assert calls[0] == 1
 
 
 def test_power_walks_take_no_product():

@@ -5,12 +5,16 @@ The artifacts are the canonical outputs that a change meant to keep the
 answers must leave byte-identical:
   - ``analyze --json`` of each ``DEFAULT_SUITE`` group and of three larger
     groups (3^11, 3^10 and 3^6 with 56,632 normal subgroups);
+  - ``analyze --json`` of two pc files, written to a temporary directory
+    from fixed presentations below: class 2 and exponent 9 of order 3^8,
+    and class 2 and exponent 25 of order 5^5;
   - ``verify all --json`` and ``verify all --extended --json``;
   - ``series --type T --json`` of each ``DEFAULT_SUITE`` group for the three
     series types, whose witness lists are part of the output.
 
 Each artifact is one ``pgroups.cli.main`` run in this process, with its
-stdout captured; a line reads ``<sha256>  rc=<exit code>  <command>``.  It
+stdout captured; a line reads ``<sha256>  rc=<exit code>  <command>``, with
+a pc file named by its base name, not its temporary path.  It
 takes no flags.  The package is imported from PYTHONPATH when it is found
 there, and from the tree this script lives in otherwise, so two trees
 compare as
@@ -23,7 +27,9 @@ compare as
 import contextlib
 import hashlib
 import io
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 # appended, so a tree named on PYTHONPATH comes first
@@ -41,6 +47,33 @@ LARGE = [
 SERIES_TYPES = ("eta", "upper-central", "lower-central")
 
 
+PC_FILES = {
+    # tests/test_groups.class2_pres_3_8: g_1..g_5 of class 2 over the central g_6, g_7, g_8
+    "class2-3^8.json": {
+        "format": "pgroup-v1", "kind": "pc", "prime": 3, "ngens": 8,
+        "powers": {"1": [[6, 1]], "2": [[7, 1]]},
+        "conjugates": {
+            "2,1": [[2, 1], [6, 1]],
+            "3,1": [[3, 1], [7, 1]],
+            "4,2": [[4, 1], [8, 1]],
+            "5,3": [[5, 1], [6, 1], [8, 2]],
+            "5,4": [[5, 1], [7, 1]],
+        },
+    },
+    # g_1..g_3 of class 2 over the central g_4, g_5: g_1^5 = g_4, g_2^5 = g_5,
+    # [g_2, g_1] = g_4, [g_3, g_1] = g_5, [g_3, g_2] = g_4 g_5
+    "class2-5^5.json": {
+        "format": "pgroup-v1", "kind": "pc", "prime": 5, "ngens": 5,
+        "powers": {"1": [[4, 1]], "2": [[5, 1]]},
+        "conjugates": {
+            "2,1": [[2, 1], [4, 1]],
+            "3,1": [[3, 1], [5, 1]],
+            "3,2": [[3, 1], [4, 1], [5, 1]],
+        },
+    },
+}
+
+
 def catalog_args(name, params):
     """The --catalog and --param arguments that select one catalog instance."""
     args = ["--catalog", name]
@@ -54,6 +87,8 @@ def artifacts():
     """The argument lists of every artifact, in a fixed order."""
     for name, params in list(cat.DEFAULT_SUITE) + LARGE:
         yield ["analyze", *catalog_args(name, params), "--json"]
+    for name in PC_FILES:
+        yield ["analyze", name, "--json"]
     yield ["verify", "all", "--json"]
     yield ["verify", "all", "--extended", "--json"]
     for kind in SERIES_TYPES:
@@ -71,9 +106,14 @@ def digest(argv):
 
 def run() -> None:
     sys.stderr.write(f"pgroups from {Path(cat.__file__).resolve().parent.parent}\n")
-    for argv in artifacts():
-        sha, rc = digest(argv)
-        print(f"{sha}  rc={rc}  {' '.join(argv)}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, doc in PC_FILES.items():
+            paths[name] = Path(tmp) / name
+            paths[name].write_text(json.dumps(doc))
+        for argv in artifacts():
+            sha, rc = digest([str(paths.get(arg, arg)) for arg in argv])
+            print(f"{sha}  rc={rc}  {' '.join(argv)}", flush=True)
 
 
 if __name__ == "__main__":
