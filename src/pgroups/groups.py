@@ -13,10 +13,11 @@ p-th power map the same way (``power_map``); pc and unitriangular groups
 walk it through those right tables, each step a fold of a word, with no
 product (``FiniteGroup._power_walk``).  A pc walk spells x by its
 exponent vector, which its index already is (``_PcBackend.word_tables``);
-only a unitriangular walk reads a breadth-first word tree.  The abelian
-and unitriangular tables are built over the element index digit by
-digit, and an endomorphism of an abelian group is extended from its
-generator images the same way (``_AbelianBackend.extend``).
+a unitriangular walk reads it off the group's one breadth-first word tree
+(``subgroups.GroupTables``).  The abelian and unitriangular tables are
+built over the element index digit by digit, and an endomorphism of an
+abelian group is extended from its generator images the same way
+(``_AbelianBackend.extend``).
 
 Groups are immutable after construction; per-group caches are filled
 lazily and idempotently.
@@ -172,10 +173,10 @@ class FiniteGroup:
         phi(m) = m (p - 1) / p new elements.  So the whole map takes fewer
         than p (|G| - 1) / (p - 1) steps, each a fold of x's word through
         right tables (``_right_factors``), read once per walk: a pc group
-        spells x by its exponent vector, and only a unitriangular one reads
-        a breadth-first word tree.  A walk that passes |G| steps
-        without the identity, or ends at an order that is not a power of p,
-        raises InconsistentPresentation.
+        spells x by its exponent vector, and a unitriangular one reads x's
+        word off its lattice tables' word tree.  A walk that passes |G|
+        steps without the identity, or ends at an order that is not a power
+        of p, raises InconsistentPresentation.
         """
         p, n = self.p, self.order
         factors = self._right_factors()
@@ -213,31 +214,24 @@ class FiniteGroup:
 
         A pc backend spells x by its exponent vector (``word_tables``): x's
         index is its normal word, so its tables are read off its digits.
-        Another backend with right tables gives one for each listed
-        generator, and one breadth-first word tree over them (``_reach``)
-        spells x as g_(k_1) ... g_(k_m): its tables are those of k_1, ...,
-        k_m.  Either way no product is taken.  An element the tree does not
-        reach, and every element of a group with no right tables, gets the
-        single factor y -> mul(y, x).
+        Another backend with right tables gives the tables of x's word in
+        G's lattice tables (``GroupTables.word_tables``), whose reach check
+        raises InvariantViolation if the generators miss an element.
+        Folding exact right tables along any word for x sends y to y x, so
+        this holds for any generator list; the transvections are
+        irredundant, so ``GroupTables`` keeps all of them, in order, and its
+        tree is the breadth-first tree over their tables.  Neither takes a
+        product.  A group with no right tables (a bare ``FiniteGroup``) gets
+        the single factor y -> mul(y, x).
         """
         spell = getattr(self.backend, "word_tables", None)
         if spell is not None:
             return spell
-        right_of = getattr(self.backend, "right_table", None)
-        right = [right_of(g) for g in self.generators] if right_of is not None else []
-        _, parent, gen = _reach(right, self.order)
+        if getattr(self.backend, "right_table", None) is None:
+            return lambda x: [_RightMul(self.mul, x)]
+        from .subgroups import _tables
 
-        def factors(x: int) -> Sequence[Sequence[int]]:
-            if parent[x] < 0:
-                return [_RightMul(self.mul, x)]
-            tabs = []
-            while x:
-                tabs.append(right[gen[x]])
-                x = parent[x]
-            tabs.reverse()
-            return tabs
-
-        return factors
+        return _tables(self).word_tables
 
     def order_exponents(self) -> List[int]:
         """The cached list of order exponents: x has order p**order_exponents()[x].
@@ -283,26 +277,6 @@ class _RightMul:
 
     def __getitem__(self, y: int) -> int:
         return self.mul(y, self.x)
-
-
-def _reach(right: Sequence[List[int]], n: int) -> Tuple[List[int], List[int], List[int]]:
-    """The elements reached from the identity through the tables right, breadth first.
-
-    Returns them in that order with the word tree: x = parent[x] g_(gen[x]),
-    and parent[x] == -1 for each x not reached (parent[0] == 0).
-    """
-    tree = [0]
-    parent = [-1] * n
-    parent[0] = 0
-    gen = [0] * n
-    for x in tree:
-        for k, r in enumerate(right):
-            y = r[x]
-            if parent[y] < 0:
-                parent[y] = x
-                gen[y] = k
-                tree.append(y)
-    return tree, parent, gen
 
 
 def _order_exponents(pth: List[int]) -> List[int]:
@@ -729,7 +703,6 @@ class _UnitriangularBackend:
         self.q = p**m
         self.positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
         self.order = self.q ** len(self.positions)
-        self._right: Dict[int, List[int]] = {}
 
     def matrix_of(self, x: int) -> List[List[int]]:
         n = self.n
@@ -779,13 +752,8 @@ class _UnitriangularBackend:
         table is built over the digits from the least significant up: with
         the lower digits done (stride s), the x whose next digits read c
         are c s plus those, and their images are the image of c plus the
-        images of those.  Each table is built once and kept, so the power
-        walk and the lattice tables read the same list; callers must not
-        mutate it.
+        images of those.
         """
-        hit = self._right.get(g)
-        if hit is not None:
-            return hit
         i = [self.transvection(j) for j in range(self.n - 1)].index(g)
         q, positions = self.q, self.positions
         table = [0]
@@ -802,7 +770,6 @@ class _UnitriangularBackend:
                 images = [(u + shift) % q * s for u in range(q)]
                 k += 1
             table = _stacked((image, table) for image in images)
-        self._right[g] = table
         return table
 
 
@@ -811,7 +778,7 @@ def build_unitriangular(n: int, p: int, m: int, label: Optional[str] = None) -> 
 
     Correct by construction: the product is the matrix product mod p^m.  The
     listed generators are the superdiagonal transvections; ``GroupTables``
-    certifies that they reach every element before any lattice reads G.
+    certifies that they reach every element before a lattice or walk reads G.
     """
     validate_odd_prime(p)
     if n < 2:

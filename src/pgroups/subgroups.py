@@ -26,7 +26,7 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, InvariantViolation, NotNormal
-from .groups import _TO_FLAGS, FiniteGroup, GroupHom, _from_flags, _reach, bits_iter, log_p
+from .groups import _TO_FLAGS, FiniteGroup, GroupHom, _from_flags, bits_iter, log_p
 
 NORMAL_SUBGROUP_BUDGET = 1_000_000
 
@@ -380,19 +380,19 @@ class GroupTables:
       filled in bulk (``_tables``); a quotient or a subgroup group passes
       gathers through its parent's tables (``_derived_group``);
     - a breadth-first word tree: ``x = parent[x] g_(gen[x])``, so ``word(x)``
-      spells x in ``gens`` and multiplying a whole list by x is a gather
-      along that word.  It is the last reach over the kept tables: the
-      prune's last drop, or the greedy pass's last step when nothing is
-      dropped;
-    - ``pth``, the map x -> x^p: G's own list (``FiniteGroup.pth_map``).  A
-      derived group has gathered it from its parent's before its tables are
-      built;
+      spells x in ``gens`` and multiplying a whole list by x, or a power
+      walk's step, is a gather along that word (``word_tables``).  It is
+      the last reach over the kept tables: the prune's last drop, or the
+      greedy pass's last step when nothing is dropped;
+    - ``pth``, the map x -> x^p: G's own list (``FiniteGroup.pth_map``),
+      read when first used.  A derived group has gathered it from its
+      parent's before its tables are built;
     - ``comm_maps[k]``, the map x -> [x, g_k] as a list.  Along the tree,
       [y h, g] = [y, g]^h [h, g] = (g^-1)^(y h) g, so (g^-1)^x is walked
       down the tree through the conjugation tables z -> h^-1 z h, and those
       come from the walk x -> h^-1 x and ``right``.  No product is taken
-      beyond those ``right_of`` and ``G.pth_map`` take, and the conjugation
-      tables are dropped once the maps are built;
+      beyond those ``right_of`` takes, and the conjugation tables are
+      dropped once the maps are built;
     - the preimage memo (``preimage``).  Map 0 is x -> x^p and map k + 1 is
       x -> [x, g_k].  Map f sends every x into its image I_f, so f^-1(S) =
       f^-1(S n I_f): each map is gathered once per distinct S n I_f, and
@@ -402,11 +402,11 @@ class GroupTables:
 
     Raises InvariantViolation when the generators do not reach every element.
     That reach check is the one certificate that ``G.generators`` generate G,
-    at every order, and it runs before any lattice, center or quotient reads
-    the tables.
+    at every order, and it runs before any lattice, center, quotient or
+    power walk reads the tables.
     """
 
-    __slots__ = ("gens", "right", "parent", "gen", "pth", "comm_maps", "_maps")
+    __slots__ = ("gens", "right", "parent", "gen", "comm_maps", "_group", "_maps")
 
     def __init__(self, G: FiniteGroup, right_of: Callable[[int], List[int]]) -> None:
         n = G.order
@@ -448,7 +448,7 @@ class GroupTables:
         self.right = right
         self.parent = parent
         self.gen = gen
-        self.pth = G.pth_map()
+        self._group = G
         self.comm_maps = [[r[z] for z in walk(ginv, conj)] for r, ginv in zip(right, inverses)]
         # per map f: (its gather, or None for a map onto {1}, the bits of I_f,
         # {S n I_f: f^-1(S)}), built on first use
@@ -463,11 +463,20 @@ class GroupTables:
         out.reverse()
         return out
 
+    def word_tables(self, x: int) -> List[List[int]]:
+        """The tables of x's word: folded first to last, they send each y to y x."""
+        return [self.right[k] for k in self.word(x)]
+
     def right_mul(self, elems: List[int], x: int) -> List[int]:
         """[y x for y in elems], as gathers along the word of x."""
-        for k in self.word(x):
-            elems = list(map(self.right[k].__getitem__, elems))
+        for r in self.word_tables(x):
+            elems = list(map(r.__getitem__, elems))
         return elems
+
+    @property
+    def pth(self) -> List[int]:
+        """G's p-th power map (``FiniteGroup.pth_map``), read when first used."""
+        return self._group.pth_map()
 
     def preimage(self, bits: int, maps: Iterable[int]) -> int:
         """Bitset of the x that each of maps (0: x -> x^p, k + 1: x -> [x, g_k]) sends into bits.
@@ -478,7 +487,7 @@ class GroupTables:
         set that holds 1 and into no other: it is never gathered, and it
         leaves the AND as it is or empties it.
         """
-        n = len(self.pth)
+        n = self._group.order
         out = (1 << n) - 1
         for f in maps:
             entry = self._maps[f]
@@ -498,6 +507,26 @@ class GroupTables:
                 hit = memo[key] = _gathered_preimage(gather, _membership(n, key))
             out &= hit
         return out
+
+
+def _reach(right: Sequence[List[int]], n: int) -> Tuple[List[int], List[int], List[int]]:
+    """The elements reached from the identity through the tables right, breadth first.
+
+    Returns them in that order with the word tree: x = parent[x] g_(gen[x]),
+    and parent[x] == -1 for each x not reached (parent[0] == 0).
+    """
+    tree = [0]
+    parent = [-1] * n
+    parent[0] = 0
+    gen = [0] * n
+    for x in tree:
+        for k, r in enumerate(right):
+            y = r[x]
+            if parent[y] < 0:
+                parent[y] = x
+                gen[y] = k
+                tree.append(y)
+    return tree, parent, gen
 
 
 def _tables(G: FiniteGroup) -> GroupTables:
@@ -788,7 +817,7 @@ def _coset_bits(
     (N = 1) steps by plain lookups.
     """
     flags = bytearray(b"0") * G.order
-    word = [T.right[k] for k in T.word(x)]
+    word = T.word_tables(x)
     coset = elems
     grown = list(elems)
     for _ in range(G.p - 1):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 from pgroups import build_from_pc
 from pgroups import catalog as cat
-from pgroups import eta_series, groups, verify
+from pgroups import eta_series, verify
 from pgroups import subgroups as sg
 from pgroups.groups import _PcBackend
 from pgroups.report import analyze_group
@@ -378,23 +378,46 @@ def test_pc_build_decodes_no_element(monkeypatch):
     assert calls[0] == 0
 
 
-def test_only_unitriangular_power_walks_build_a_word_tree(monkeypatch):
+def test_a_group_builds_one_word_tree(monkeypatch):
     # a pc element's index is its normal word, so a pc power walk spells x
-    # by its exponent vector and builds no breadth-first word tree; the
-    # transvections of a unitriangular group do not spell elements by
-    # coordinates, so its walk still reads one tree
+    # by its exponent vector and builds no breadth-first word tree; a
+    # unitriangular walk folds the words of its lattice tables' tree, so its
+    # power map and analysis reach no more often than its tables alone
     calls = [0]
-    reach = groups._reach
+    reach = sg._reach
 
     def counting(*args):
         calls[0] += 1
         return reach(*args)
 
-    monkeypatch.setattr(groups, "_reach", counting)
+    monkeypatch.setattr(sg, "_reach", counting)
     build_from_pc(class2_pres_3_8())
     assert calls[0] == 0
-    cat.catalog_build("unitriangular", n=3, p=3, m=2).pth_map()
-    assert calls[0] == 1
+    for params, reaches in [({"n": 3, "p": 3, "m": 2}, 4), ({"n": 4, "p": 3, "m": 1}, 6)]:
+        calls[0] = 0
+        sg._tables(cat.catalog_build("unitriangular", **params))
+        assert calls[0] == reaches, params
+        calls[0] = 0
+        G = cat.catalog_build("unitriangular", **params)
+        G.pth_map()
+        analyze_group(G)
+        assert calls[0] == reaches, params
+    # the breadth-first search is defined once and called by GroupTables alone
+    defined, called = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}
+        for name, fn in _functions(tree):  # inner functions come later and win
+            defined += [f"{path.relative_to(SRC)}:{name}"] if name == "_reach" else []
+            for node in ast.walk(fn):
+                owner[id(node)] = name
+        called |= {
+            f"{path.relative_to(SRC)}:{owner.get(id(node), '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "_reach"
+        }
+    assert defined == ["subgroups.py:_reach"]
+    assert called == {"subgroups.py:GroupTables.__init__"}
 
 
 def test_power_walks_take_no_product():
@@ -424,18 +447,17 @@ def test_power_walks_take_no_product():
 
 
 def test_unitriangular_right_tables_are_built_once():
-    # the power walk and the lattice tables read the same right table of
-    # each transvection, which the backend builds once and keeps
+    # the power walk folds the lattice tables' right tables, so the backend
+    # hands over each transvection's table once, to the lattice tables
     G = cat.catalog_build("unitriangular", n=3, p=3, m=2)
     right_table = G.backend.right_table
     handed = []
 
     def recording(g):
-        handed.append(right_table(g))
-        return handed[-1]
+        handed.append(g)
+        return right_table(g)
 
     G.backend.right_table = recording
     G.pth_map()
     analyze_group(G)
-    assert len(handed) >= 2 * len(G.generators)
-    assert len({id(table) for table in handed}) == len(G.generators)
+    assert handed == G.generators

@@ -10,14 +10,19 @@ answers must leave byte-identical:
     and class 2 and exponent 25 of order 5^5;
   - ``verify all --json`` and ``verify all --extended --json``;
   - ``series --type T --json`` of each ``DEFAULT_SUITE`` group for the three
-    series types, whose witness lists are part of the output.
+    series types, whose witness lists are part of the output;
+  - the p-th power map (``FiniteGroup.pth_map``) of three unitriangular
+    groups and of the class 2 pc group of order 3^8, which every answer
+    reads.
 
-Each artifact is one ``pgroups.cli.main`` run in this process, with its
-stdout captured; a line reads ``<sha256>  rc=<exit code>  <command>``, with
-a pc file named by its base name, not its temporary path.  It
-takes no flags.  The package is imported from PYTHONPATH when it is found
-there, and from the tree this script lives in otherwise, so two trees
-compare as
+Each command artifact is one ``pgroups.cli.main`` run in this process, with
+its stdout captured; a line reads ``<sha256>  rc=<exit code>  <command>``,
+with a pc file named by its base name, not its temporary path.  A power map
+is hashed as its JSON list, on a line that reads ``<sha256>  pth_map
+<group>``.  Only public functions of ``pgroups`` are called, so any two
+trees compare.  It takes no flags.  The package is imported from
+PYTHONPATH when it is found there, and from the tree this script lives in
+otherwise, so two trees compare as
 
     PYTHONPATH=<tree a>/src python tools/answer_digests.py > a.txt
     PYTHONPATH=<tree b>/src python tools/answer_digests.py > b.txt
@@ -37,6 +42,7 @@ sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
 from pgroups import catalog as cat  # noqa: E402
 from pgroups.cli import main  # noqa: E402
+from pgroups.fileformat import load_document  # noqa: E402
 
 LARGE = [
     ("mainline_coclass1", {"p": 3, "k": 10}),
@@ -45,6 +51,12 @@ LARGE = [
 ]
 
 SERIES_TYPES = ("eta", "upper-central", "lower-central")
+
+POWER_MAPS = [
+    ("unitriangular", {"n": 3, "p": 3, "m": 2}),
+    ("unitriangular", {"n": 4, "p": 3, "m": 1}),
+    ("unitriangular", {"n": 5, "p": 3, "m": 1}),
+]
 
 
 PC_FILES = {
@@ -96,6 +108,13 @@ def artifacts():
             yield ["series", *catalog_args(name, params), "--type", kind, "--json"]
 
 
+def power_maps():
+    """(name, group) of every power-map artifact, each group built afresh."""
+    for name, params in POWER_MAPS:
+        yield " ".join(catalog_args(name, params)), cat.catalog_build(name, **params)
+    yield "class2-3^8.json", load_document(PC_FILES["class2-3^8.json"])[0]
+
+
 def digest(argv):
     """(sha256 of the stdout of ``pgroups argv``, its exit code)."""
     out = io.StringIO()
@@ -114,6 +133,9 @@ def run() -> None:
         for argv in artifacts():
             sha, rc = digest([str(paths.get(arg, arg)) for arg in argv])
             print(f"{sha}  rc={rc}  {' '.join(argv)}", flush=True)
+    for name, G in power_maps():
+        sha = hashlib.sha256(json.dumps(G.pth_map()).encode()).hexdigest()
+        print(f"{sha}  pth_map  {name}", flush=True)
 
 
 if __name__ == "__main__":
