@@ -6,18 +6,22 @@ construction-specific backend (right tables for pc presentations, matrix
 arithmetic for unitriangular groups, coordinate arithmetic for abelian and
 semidirect products, coset arithmetic for quotients).
 
-Every root backend also hands over, in bulk, the right table x -> x g of
-each listed generator g (``right_table``), which ``subgroups.GroupTables``
-reads instead of multiplying.  Abelian and semidirect backends give their
-p-th power map the same way (``power_map``); pc and unitriangular groups
-walk it through those right tables, each step a fold of a word, with no
-product (``FiniteGroup._power_walk``).  A pc walk spells x by its
-exponent vector, which its index already is (``_PcBackend.word_tables``);
-a unitriangular walk reads it off the group's one breadth-first word tree
-(``subgroups.GroupTables``).  The abelian and unitriangular tables are
-built over the element index digit by digit, and an endomorphism of an
-abelian group is extended from its generator images the same way
-(``_AbelianBackend.extend``).
+The backend is the one place that says how a group's tables and power map
+are obtained.  Each of three capabilities is used when the backend has it:
+``right_table(g)`` hands over the right table x -> x g of a listed
+generator g in bulk (every root backend; quotient and subgroup backends
+gather it through their parent's tables), which ``subgroups.GroupTables``
+reads instead of multiplying; ``power_map()`` hands over the p-th power map
+(abelian, semidirect, quotient and subgroup backends); ``word_tables(x)``
+spells x as a word of right tables (pc, by its exponent vector, which its
+index already is).  A group without them walks its power map through right
+tables, each step a fold of x's word in its lattice tables' one
+breadth-first word tree, with no product (``FiniteGroup._power_walk``); a
+bare ``FiniteGroup`` with no backend takes its right tables from ``mul``,
+one product per entry (``subgroups._tables``).  The abelian and
+unitriangular tables are built over the element index digit by digit, and
+an endomorphism of an abelian group is extended from its generator images
+the same way (``_AbelianBackend.extend``).
 
 Groups are immutable after construction; per-group caches are filled
 lazily and idempotently.
@@ -93,7 +97,9 @@ class FiniteGroup:
 
     ``mul`` is the total multiplication; ``generators`` is a distinguished
     generating list (element indices).  ``backend`` keeps the
-    construction-specific data (e.g. matrix coordinates) reachable.
+    construction-specific data reachable and may offer ``right_table(g)``,
+    ``power_map()`` and ``word_tables(x)`` (module docstring); without them
+    the right tables come from ``mul``, one product per entry.
     """
 
     def __init__(
@@ -124,7 +130,9 @@ class FiniteGroup:
         return range(self.order)
 
     def pow(self, x: int, e: int) -> int:
-        """x**e by square-and-multiply (e >= 0)."""
+        """x**e by square-and-multiply; x^(-e) is (x^-1)^e."""
+        if e < 0:
+            x, e = self.inv(x), -e
         result = 0
         base = x
         mul = self.mul
@@ -155,8 +163,9 @@ class FiniteGroup:
     def pth_map(self) -> List[int]:
         """The cached p-th power map: pth_map()[x] == x**p.  Callers must not mutate it.
 
-        A backend with a ``power_map`` (abelian, semidirect) hands it over in
-        bulk; every other group walks it (``_power_walk``).
+        A backend with a ``power_map`` (abelian, semidirect, quotient,
+        subgroup) hands it over in bulk; every other group walks it
+        (``_power_walk``).  This is the only place ``_pth`` is assigned.
         """
         if self._pth is None:
             bulk = getattr(self.backend, "power_map", None)
@@ -173,8 +182,8 @@ class FiniteGroup:
         phi(m) = m (p - 1) / p new elements.  So the whole map takes fewer
         than p (|G| - 1) / (p - 1) steps, each a fold of x's word through
         right tables (``_right_factors``), read once per walk: a pc group
-        spells x by its exponent vector, and a unitriangular one reads x's
-        word off its lattice tables' word tree.  A walk that passes |G|
+        spells x by its exponent vector, and any other group reads x's word
+        off its lattice tables' word tree.  A walk that passes |G|
         steps without the identity, or ends at an order that is not a power
         of p, raises InconsistentPresentation.
         """
@@ -214,21 +223,15 @@ class FiniteGroup:
 
         A pc backend spells x by its exponent vector (``word_tables``): x's
         index is its normal word, so its tables are read off its digits.
-        Another backend with right tables gives the tables of x's word in
-        G's lattice tables (``GroupTables.word_tables``), whose reach check
-        raises InvariantViolation if the generators miss an element.
-        Folding exact right tables along any word for x sends y to y x, so
-        this holds for any generator list; the transvections are
-        irredundant, so ``GroupTables`` keeps all of them, in order, and its
-        tree is the breadth-first tree over their tables.  Neither takes a
-        product.  A group with no right tables (a bare ``FiniteGroup``) gets
-        the single factor y -> mul(y, x).
+        Any other group gives the tables of x's word in its lattice tables
+        (``GroupTables.word_tables``), whose reach check raises
+        InvariantViolation if the generators miss an element.  Folding
+        exact right tables along any word for x sends y to y x, so this
+        holds for any generator list.  Neither takes a product.
         """
         spell = getattr(self.backend, "word_tables", None)
         if spell is not None:
             return spell
-        if getattr(self.backend, "right_table", None) is None:
-            return lambda x: [_RightMul(self.mul, x)]
         from .subgroups import _tables
 
         return _tables(self).word_tables
@@ -264,19 +267,6 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label}, p={self.p}, order={self.order})"
-
-
-class _RightMul:
-    """y -> y x through ``mul``, read like a right table."""
-
-    __slots__ = ("mul", "x")
-
-    def __init__(self, mul: Callable[[int, int], int], x: int) -> None:
-        self.mul = mul
-        self.x = x
-
-    def __getitem__(self, y: int) -> int:
-        return self.mul(y, self.x)
 
 
 def _order_exponents(pth: List[int]) -> List[int]:
@@ -315,7 +305,7 @@ class GroupHom:
     """A homomorphism between explicit groups, stored as a total index map.
 
     Nothing is checked here: the only maps built are quotient projections,
-    which are homomorphisms by construction (see ``subgroups._derived_group``).
+    which are homomorphisms by construction (see ``subgroups._DerivedBackend``).
     """
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup, mapping: Sequence[int]):

@@ -366,7 +366,7 @@ def omega_subgroup(G: FiniteGroup, i: int) -> Subgroup:
 
 
 class GroupTables:
-    """Lookup tables for G's normal lattice, built once per group (``G.cache["tables"]``).
+    """Lookup tables for G's normal lattice, built once per group by ``_tables`` alone.
 
     - ``gens``, an irredundant generating subsequence of ``G.generators``:
       the greedy pass keeps each listed generator that the kept ones do not
@@ -376,18 +376,18 @@ class GroupTables:
       theorem it has d(G) elements;
     - ``right[k][x] = x g_k`` for each g_k in ``gens``: the greedy pass reads
       each kept generator's whole table from ``right_of``, and nothing else
-      takes a product.  A root group passes its backend's ``right_table``,
-      filled in bulk (``_tables``); a quotient or a subgroup group passes
-      gathers through its parent's tables (``_derived_group``);
+      takes a product.  ``_tables`` passes the backend's ``right_table``
+      (filled in bulk, or gathered through a parent's tables), or a bare
+      group's products;
     - a breadth-first word tree: ``x = parent[x] g_(gen[x])``, so ``word(x)``
       spells x in ``gens`` and multiplying a whole list by x, or a power
       walk's step, is a gather along that word (``word_tables``).  It is
       the last reach over the kept tables: the prune's last drop, or the
       greedy pass's last step when nothing is dropped;
     - ``pth``, the map x -> x^p: G's own list (``FiniteGroup.pth_map``),
-      read when first used.  A derived group has gathered it from its
-      parent's before its tables are built;
-    - ``comm_maps[k]``, the map x -> [x, g_k] as a list.  Along the tree,
+      read when first used;
+    - ``comm_maps[k]``, the map x -> [x, g_k] as a list, built when first
+      read, so a power walk alone builds none.  Along the tree,
       [y h, g] = [y, g]^h [h, g] = (g^-1)^(y h) g, so (g^-1)^x is walked
       down the tree through the conjugation tables z -> h^-1 z h, and those
       come from the walk x -> h^-1 x and ``right``.  No product is taken
@@ -406,7 +406,7 @@ class GroupTables:
     power walk reads the tables.
     """
 
-    __slots__ = ("gens", "right", "parent", "gen", "comm_maps", "_group", "_maps")
+    __slots__ = ("gens", "right", "parent", "gen", "_tree", "_comm", "_group", "_maps")
 
     def __init__(self, G: FiniteGroup, right_of: Callable[[int], List[int]]) -> None:
         n = G.order
@@ -432,27 +432,37 @@ class GroupTables:
                 del gens[k], right[k]
                 tree, parent, gen = reach
         del tree[0]
-
-        def walk(start: int, tabs: Sequence[List[int]]) -> List[int]:
-            # out[x] = tabs[k_m](... tabs[k_1](start)) along the word k_1 ... k_m of x
-            out = [start] * n
-            for x in tree:
-                out[x] = tabs[gen[x]][out[parent[x]]]
-            return out
-
-        # y g = 1 exactly for y = g^-1
-        inverses = [r.index(0) for r in right]
-        # z -> h^-1 z h
-        conj = [[r[z] for z in walk(hinv, right)] for r, hinv in zip(right, inverses)]
         self.gens = gens
         self.right = right
         self.parent = parent
         self.gen = gen
+        self._tree: Optional[List[int]] = tree  # kept until comm_maps walks it
+        self._comm: Optional[List[List[int]]] = None
         self._group = G
-        self.comm_maps = [[r[z] for z in walk(ginv, conj)] for r, ginv in zip(right, inverses)]
         # per map f: (its gather, or None for a map onto {1}, the bits of I_f,
         # {S n I_f: f^-1(S)}), built on first use
         self._maps: List[Optional[tuple]] = [None] * (len(gens) + 1)
+
+    @property
+    def comm_maps(self) -> List[List[int]]:
+        """The maps x -> [x, g_k], one per kept generator, walked down the tree on first use."""
+        if self._comm is None:
+            tree, parent, gen, right = self._tree, self.parent, self.gen, self.right
+
+            def walk(start: int, tabs: Sequence[List[int]]) -> List[int]:
+                # out[x] = tabs[k_m](... tabs[k_1](start)) along the word k_1 ... k_m of x
+                out = [start] * len(parent)
+                for x in tree:
+                    out[x] = tabs[gen[x]][out[parent[x]]]
+                return out
+
+            # y g = 1 exactly for y = g^-1
+            inverses = [r.index(0) for r in right]
+            # z -> h^-1 z h
+            conj = [[r[z] for z in walk(hinv, right)] for r, hinv in zip(right, inverses)]
+            self._comm = [[r[z] for z in walk(ginv, conj)] for r, ginv in zip(right, inverses)]
+            self._tree = None
+        return self._comm
 
     def word(self, x: int) -> List[int]:
         """Indices k_1, ..., k_m into ``gens`` with x = g_(k_1) ... g_(k_m)."""
@@ -530,10 +540,15 @@ def _reach(right: Sequence[List[int]], n: int) -> Tuple[List[int], List[int], Li
 
 
 def _tables(G: FiniteGroup) -> GroupTables:
-    """G's tables; a root group's are built on first use from its backend's right tables."""
+    """G's tables, built on first use: the one place a ``GroupTables`` is built.
+
+    The backend's ``right_table`` hands each table over; a bare group's come
+    from ``G.mul``, one product per entry.
+    """
     hit = G.cache.get("tables")
     if hit is None:
-        hit = GroupTables(G, G.backend.right_table)
+        right_of = getattr(G.backend, "right_table", None)
+        hit = GroupTables(G, right_of or (lambda g: [G.mul(x, g) for x in G.elements()]))
         G.cache["tables"] = hit
     return hit
 
@@ -683,7 +698,49 @@ class SubgroupSeries:
 # -- quotients ---------------------------------------------------------------
 
 
-class _QuotientBackend:
+class _DerivedBackend:
+    """The group on positions 0..len(elems)-1 that G induces: position i stands for elems[i].
+
+    A quotient G/N passes its coset representatives, with the coset numbering
+    as ``position``; a subgroup H passes its elements, with their index.  The
+    product ``mul`` of i and j is ``position(elems[i] elems[j])``, so
+    ``position`` is a homomorphism by construction: it is a bijection on H,
+    and for normal N, (aN)(bN) = abN.  ``group`` builds the FiniteGroup; its
+    generators are the positions of ``lifts``, the first lift at each
+    position (``lift``), with the identity dropped.
+
+    Both tables are read off G's, with no product.  (N y) g = N (y g), so
+    the right table of a generator with lift g is G's ``right_mul(elems, g)``
+    read through ``position``.  (xN)^p = x^p N, and H keeps G's p-th powers,
+    so the power map is ``position`` of G's; the order of xN is the least
+    p^k with x^(p^k) in N.
+    """
+
+    def __init__(
+        self, parent: FiniteGroup, elems: List[int], position: Callable[[int], int],
+        lifts: Iterable[int],
+    ) -> None:
+        self.parent = parent
+        self.elems = elems
+        self.position = position
+        self.lift: Dict[int, int] = {}
+        for g in lifts:
+            self.lift.setdefault(position(g), g)
+        self.lift.pop(0, None)
+        mul = parent.mul
+        self.mul = lambda a, b: position(mul(elems[a], elems[b]))
+
+    def group(self, label: str) -> FiniteGroup:
+        return FiniteGroup(self.parent.p, len(self.elems), self.mul, list(self.lift), label, self)
+
+    def right_table(self, g: int) -> List[int]:
+        return list(map(self.position, _tables(self.parent).right_mul(self.elems, self.lift[g])))
+
+    def power_map(self) -> List[int]:
+        return list(map(self.position, map(self.parent.pth_map().__getitem__, self.elems)))
+
+
+class _QuotientBackend(_DerivedBackend):
     """The cosets of N in G, numbered by their least elements.
 
     The cosets are lookups in G's tables, with no product.  N is normal, so
@@ -716,58 +773,15 @@ class _QuotientBackend:
             rank[j] = i
         self.reps = sorted(mins)
         self.coset_of = list(map(rank.__getitem__, coset_of))
-
-
-def _derived_group(
-    G: FiniteGroup,
-    elems: List[int],
-    position: Callable[[int], int],
-    lifts: Iterable[int],
-    label: str,
-    backend: object,
-) -> FiniteGroup:
-    """The group on positions 0..len(elems)-1 that G induces: position i stands for elems[i].
-
-    A quotient G/N passes its coset representatives, with the coset numbering
-    as ``position``; a subgroup H passes its elements, with their index.  The
-    product of i and j is ``position(elems[i] elems[j])``, so ``position`` is
-    a homomorphism by construction: it is a bijection on H, and for normal N,
-    (aN)(bN) = abN.  The generators are the positions of ``lifts``, the first
-    lift at each position, with the identity dropped.
-
-    Nothing else takes a product of G; it is read off G's tables.  (xN)^p =
-    x^p N, and H keeps G's p-th powers, so the p-th power map is ``position``
-    of G's, and ``FiniteGroup.order_exponent`` derives the order exponents
-    from it (the order of xN is the least p^k with x^(p^k) in N).  (N y) g =
-    N (y g), so the table of a generator with lift g sends the position of
-    each y in elems to the position of y g: G's ``right_mul(elems, g)`` read
-    through ``position``.
-    """
-    lift: Dict[int, int] = {}
-    for g in lifts:
-        lift.setdefault(position(g), g)
-    lift.pop(0, None)
-    mul = G.mul
-    D = FiniteGroup(
-        G.p,
-        len(elems),
-        lambda a, b: position(mul(elems[a], elems[b])),
-        list(lift),
-        label=label,
-        backend=backend,
-    )
-    pth = G.pth_map()
-    D._pth = [position(pth[x]) for x in elems]
-    T = _tables(G)
-    D.cache["tables"] = GroupTables(D, lambda i: list(map(position, T.right_mul(elems, lift[i]))))
-    return D
+        super().__init__(parent, self.reps, self.coset_of.__getitem__, parent.generators)
 
 
 def quotient(G: FiniteGroup, N: Subgroup) -> Tuple[FiniteGroup, GroupHom]:
     """G/N on coset representatives, plus the projection homomorphism.
 
-    N is checked normal, and Q is built by ``_derived_group`` on the coset
-    minima, so the projection x -> xN is a homomorphism by construction.
+    N is checked normal, and Q is built on the coset minima
+    (``_QuotientBackend``), so the projection x -> xN is a homomorphism by
+    construction.
     """
     if not N.is_normal():
         raise NotNormal(f"subgroup of order {N.order} is not normal in {G.label}")
@@ -779,26 +793,21 @@ def quotient(G: FiniteGroup, N: Subgroup) -> Tuple[FiniteGroup, GroupHom]:
         cache[N.bits] = hit
     if hit is None:
         back = _QuotientBackend(G, N.bits)
-        Q = _derived_group(
-            G, back.reps, back.coset_of.__getitem__, G.generators,
-            f"{G.label}/[{N.order}]", back,
-        )
+        Q = back.group(f"{G.label}/[{N.order}]")
         hit = (Q, GroupHom(G, Q, back.coset_of))
         cache[N.bits] = hit
     return hit
 
 
 def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
-    """A standalone FiniteGroup isomorphic to the subgroup H of G, built by ``_derived_group``."""
+    """A standalone FiniteGroup isomorphic to the subgroup H of G (``_DerivedBackend``)."""
     cache = G.cache.setdefault("subgroup_groups", {})
     hit = cache.get(H.bits)
     if hit is None:
         elems = list(H.elements())
         index_of = {x: i for i, x in enumerate(elems)}
-        hit = _derived_group(
-            G, elems, index_of.__getitem__, H.witness_list(),
-            f"{G.label}|sub[{H.order}]", ("subgroup", elems, index_of),
-        )
+        back = _DerivedBackend(G, elems, index_of.__getitem__, H.witness_list())
+        hit = back.group(f"{G.label}|sub[{H.order}]")
         cache[H.bits] = hit
     return hit
 

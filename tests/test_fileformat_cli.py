@@ -493,6 +493,25 @@ def test_analyze_trivial_group_has_integer_report():
     assert "." not in text.replace('"', "")  # integers only, no floats anywhere
 
 
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("heisenberg", {"p": 3}),
+        ("mann_nonpf", {"p": 3}),
+        ("unitriangular", {"n": 3, "p": 3, "m": 2}),
+    ],
+)
+def test_bare_copies_analyze_like_the_built_group(name, params):
+    # a FiniteGroup built from a bare mul has no backend: its tables come
+    # from products, and its report is the built group's byte for byte
+    from pgroups import FiniteGroup, analyze_group
+    from pgroups.catalog import catalog_build
+
+    G = catalog_build(name, **params)
+    bare = FiniteGroup(G.p, G.order, G.mul, G.generators, label=G.label)
+    assert canonical_json(analyze_group(bare)) == canonical_json(analyze_group(G))
+
+
 def test_canonical_json_round_trips_itself():
     doc = catalog_document("unitriangular", {"n": 3, "p": 3, "m": 2})
     text = canonical_json(doc)

@@ -11,7 +11,6 @@ from pgroups.eta_series import upper_eta_series
 from pgroups.groups import FiniteGroup, _from_flags, bits_iter
 from pgroups.subgroups import (
     GroupTables,
-    _QuotientBackend,
     _tables,
     center,
     center_over,
@@ -651,13 +650,10 @@ def _check_tables(G, T):
 def test_lattice_tables_agree_with_backend_arithmetic(groups):
     for G in _table_cases(groups):
         G.pth_map()
-        if isinstance(G.backend, _QuotientBackend):
-            # gathered through the parent's tables when the quotient was built
-            T = _tables(G)
-        else:
-            # a root group reads every right table off its backend
-            T, products = _counted(G, lambda: GroupTables(G, G.backend.right_table))
-            assert products == 0, G.label
+        # every backend hands over its right tables: a root group's filled in
+        # bulk, a quotient's gathered through its parent's tables
+        T, products = _counted(G, lambda: GroupTables(G, G.backend.right_table))
+        assert products == 0, G.label
         _check_tables(G, T)
     # centre first: the greedy pass keeps z, x and y, and the prune drops z
     H = groups("heisenberg", p=3)

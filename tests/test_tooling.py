@@ -122,9 +122,11 @@ def test_only_the_enumerator_touches_the_lattice_cache():
 
 def test_power_maps_have_one_derivation():
     # order exponents are derived from the p-th power map in groups alone,
-    # and a group's p-th power map comes from its own power walk or, for a
-    # quotient or subgroup group, from the one derived-group builder
-    found = []
+    # and a group's p-th power map comes from its backend's power_map or its
+    # own power walk, in FiniteGroup.pth_map: nothing outside groups.py
+    # assigns it, and the lattice tables are built and cached in
+    # subgroups._tables alone
+    found, built, cached = [], set(), set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         owner = {}
@@ -132,22 +134,24 @@ def test_power_maps_have_one_derivation():
             for node in ast.walk(fn):
                 owner[id(node)] = name
         for node in ast.walk(tree):
+            where = f"{path.relative_to(SRC)}:{owner.get(id(node), '<module>')}"
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "GroupTables":
+                built.add(where)
             if isinstance(node, ast.Assign):
                 targets = node.targets
             elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
                 targets = [node.target]
             else:
                 continue
-            found += [
-                (f"{path.relative_to(SRC)}:{owner.get(id(node), '<module>')}", sub.attr)
-                for target in targets
-                for sub in ast.walk(target)
-                if isinstance(sub, ast.Attribute) and sub.attr in ("_ordexp", "_pth")
-            ]
+            for sub in (sub for target in targets for sub in ast.walk(target)):
+                if isinstance(sub, ast.Attribute) and sub.attr in ("_ordexp", "_pth"):
+                    found.append((where, sub.attr))
+                if isinstance(sub, ast.Subscript) and getattr(sub.slice, "value", None) == "tables":
+                    cached.add(where)
     assert ("groups.py:FiniteGroup.order_exponents", "_ordexp") in found
     assert ("groups.py:FiniteGroup.pth_map", "_pth") in found
-    outside = sorted({hit for hit in found if not hit[0].startswith("groups.py:")})
-    assert outside == [("subgroups.py:_derived_group", "_pth")]
+    assert [hit for hit in found if not hit[0].startswith("groups.py:")] == []
+    assert built == cached == {"subgroups.py:_tables"}
 
 
 def _functions(node, prefix=""):
@@ -418,6 +422,18 @@ def test_a_group_builds_one_word_tree(monkeypatch):
         }
     assert defined == ["subgroups.py:_reach"]
     assert called == {"subgroups.py:GroupTables.__init__"}
+
+
+def test_commutator_maps_are_built_on_first_use():
+    # a power walk reads the lattice tables' word tree but not their
+    # commutator maps; the analysis reads them, and they match G.comm
+    G = cat.catalog_build("unitriangular", n=4, p=3, m=1)
+    G.pth_map()
+    T = sg._tables(G)
+    assert T._comm is None
+    analyze_group(G)
+    assert T._comm is not None
+    assert T.comm_maps == [[G.comm(x, g) for x in G.elements()] for g in T.gens]
 
 
 def test_power_walks_take_no_product():

@@ -11,9 +11,10 @@ answers must leave byte-identical:
   - ``verify all --json`` and ``verify all --extended --json``;
   - ``series --type T --json`` of each ``DEFAULT_SUITE`` group for the three
     series types, whose witness lists are part of the output;
-  - the p-th power map (``FiniteGroup.pth_map``) of three unitriangular
-    groups and of the class 2 pc group of order 3^8, which every answer
-    reads.
+  - the p-th power map (``FiniteGroup.pth_map``), which every answer
+    reads, of three unitriangular groups, of the class 2 pc group of order
+    3^8, and of two groups derived from ``kirillov_quotient p=3 e=2``: its
+    quotient by its centre and its Frattini subgroup as a group.
 
 Each command artifact is one ``pgroups.cli.main`` run in this process, with
 its stdout captured; a line reads ``<sha256>  rc=<exit code>  <command>``,
@@ -40,6 +41,7 @@ from pathlib import Path
 # appended, so a tree named on PYTHONPATH comes first
 sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
+from pgroups import center, frattini, quotient, subgroup_as_group  # noqa: E402
 from pgroups import catalog as cat  # noqa: E402
 from pgroups.cli import main  # noqa: E402
 from pgroups.fileformat import load_document  # noqa: E402
@@ -57,6 +59,9 @@ POWER_MAPS = [
     ("unitriangular", {"n": 4, "p": 3, "m": 1}),
     ("unitriangular", {"n": 5, "p": 3, "m": 1}),
 ]
+
+# the quotient and subgroup groups of this one are power-map artifacts too
+DERIVED_FROM = ("kirillov_quotient", {"p": 3, "e": 2})
 
 
 PC_FILES = {
@@ -113,6 +118,12 @@ def power_maps():
     for name, params in POWER_MAPS:
         yield " ".join(catalog_args(name, params)), cat.catalog_build(name, **params)
     yield "class2-3^8.json", load_document(PC_FILES["class2-3^8.json"])[0]
+    kind, params = DERIVED_FROM
+    name = " ".join(catalog_args(kind, params))
+    K = cat.catalog_build(kind, **params)
+    yield f"{name} quotient by center", quotient(K, center(K))[0]
+    K = cat.catalog_build(kind, **params)
+    yield f"{name} frattini subgroup", subgroup_as_group(K, frattini(K))
 
 
 def digest(argv):
