@@ -1,10 +1,17 @@
 """Built-in group constructions with recorded expected invariants.
 
-Every entry builds deterministically from (small) integer parameters.  The
-expected-invariant records live in ``expected.json`` next to this module so
-new records need no code change; each recorded value carries a source tag:
-``known`` (a recorded reference fact), ``arith`` (immediate arithmetic), or
-``computed`` (derived once by this library's oracles and frozen).
+Every entry builds deterministically from (small) integer parameters.
+``resolve_params`` is the one gate for them: before anything is built or a
+catalog document is written, it fills in defaults and checks the parameter
+names, types and ranges, that p is an odd prime, and that the order the
+entry states for its groups is within the element cap.  The private builders
+trust what it passes them.
+
+The expected-invariant records live in ``expected.json`` next to this module
+so new records need no code change; each recorded value carries a source
+tag: ``known`` (a recorded reference fact), ``arith`` (immediate
+arithmetic), or ``computed`` (derived once by this library's oracles and
+frozen).
 """
 
 from __future__ import annotations
@@ -36,20 +43,24 @@ Params = Dict[str, object]
 class CatalogEntry:
     name: str
     summary: str
-    # param name -> ("int" | "int_list", default or None when required)
-    param_schema: Dict[str, Tuple[str, Optional[object]]]
+    # param name -> ("int" | "int_list", default or None when required,
+    # least value or None, greatest value or None); an "int_list" is nonempty
+    # and the bounds hold for each of its entries
+    param_schema: Dict[str, Tuple[str, Optional[object], Optional[int], Optional[int]]]
+    # e with p^e the order of every group the entry expands to, from the
+    # resolved parameters; the cap is checked on it before anything is built
+    order_exponent: Callable[[Params], int]
+    # the groups, from parameters that resolve_params has already checked
     expand: Callable[[Params], List[FiniteGroup]]
 
 
 def _heisenberg(p: int) -> FiniteGroup:
-    validate_odd_prime(p)
     pres = PcPresentation(p, 3, powers={}, conjugates={(2, 1): ((2, 1), (3, 1))})
     return build_from_pc(pres, label=f"heisenberg(p={p})")
 
 
 def _modular(p: int) -> FiniteGroup:
     # <a, b : a^(p^2) = b^p = 1, a^b = a^(1+p)> on pc generators b, a, a^p.
-    validate_odd_prime(p)
     pres = PcPresentation(
         p,
         3,
@@ -68,18 +79,12 @@ def _shift_action(M: FiniteGroup, wrap_last: Optional[int]) -> List[int]:
 
 
 def _mann_nonpf(p: int) -> FiniteGroup:
-    validate_odd_prime(p)
     M = build_abelian(p, [1] * p)
     images = _shift_action(M, None)
     return build_semidirect(M, images, 2, label=f"mann_nonpf(p={p})")
 
 
 def _potent_nopwc(p: int, n: int) -> FiniteGroup:
-    validate_odd_prime(p)
-    if p <= 3:
-        raise ParamOutOfRange("potent_nopwc requires p > 3")
-    if n < 1:
-        raise ParamOutOfRange("potent_nopwc requires n >= 1")
     M = build_abelian(p, [n + 1] + [n] * (p - 3))
     gens = M.generators
     images = [M.mul(gens[i], gens[i + 1]) for i in range(p - 3)]
@@ -88,9 +93,6 @@ def _potent_nopwc(p: int, n: int) -> FiniteGroup:
 
 
 def _kirillov_quotient(p: int, e: int) -> FiniteGroup:
-    validate_odd_prime(p)
-    if e < 1:
-        raise ParamOutOfRange("kirillov_quotient requires e >= 1")
     M = build_abelian(p, [e] * p)
     gens = M.generators
     images = [M.mul(gens[i], gens[i + 1]) for i in range(p - 2)]
@@ -105,9 +107,6 @@ def _mainline_coclass1(p: int, k: int) -> FiniteGroup:
     """C_p acting as multiplication by a primitive p-th root of unity zeta on
     the quotient of Z[zeta] by the k-th power of the ramified prime (zeta-1).
     """
-    validate_odd_prime(p)
-    if k < 1:
-        raise ParamOutOfRange("mainline_coclass1 requires k >= 1")
     ngens = min(k, p - 1)
     exps = [-(-(k - j) // (p - 1)) for j in range(ngens)]
     M = build_abelian(p, exps)
@@ -131,7 +130,6 @@ def _mainline_coclass1(p: int, k: int) -> FiniteGroup:
 
 
 def _wreath(p: int) -> FiniteGroup:
-    validate_odd_prime(p)
     M = build_abelian(p, [1] * p)
     images = M.generators[1:] + [M.generators[0]]
     return build_semidirect(M, images, 1, label=f"wreath(p={p})")
@@ -142,9 +140,6 @@ def _single(builder: Callable[..., FiniteGroup]) -> Callable[[Params], List[Fini
 
 
 def _order27_all(params: Params) -> List[FiniteGroup]:
-    p = params.get("p", 3)
-    if p != 3:
-        raise ParamOutOfRange("order27_all is the five groups of order 27 (p = 3)")
     return [
         build_abelian(3, [3], label="abelian(p=3,exps=3)"),
         build_abelian(3, [2, 1], label="abelian(p=3,exps=2.1)"),
@@ -160,25 +155,29 @@ ENTRIES: Dict[str, CatalogEntry] = {
         CatalogEntry(
             "heisenberg",
             "extraspecial group of order p^3 and exponent p",
-            {"p": ("int", 3)},
+            {"p": ("int", 3, None, None)},
+            lambda q: 3,
             _single(_heisenberg),
         ),
         CatalogEntry(
             "modular",
             "modular group of order p^3 and exponent p^2",
-            {"p": ("int", 3)},
+            {"p": ("int", 3, None, None)},
+            lambda q: 3,
             _single(_modular),
         ),
         CatalogEntry(
             "order27_all",
             "all five groups of order 27",
-            {"p": ("int", 3)},
+            {"p": ("int", 3, 3, 3)},
+            lambda q: 3,
             _order27_all,
         ),
         CatalogEntry(
             "abelian",
             "direct product of cyclic groups of orders p^e",
-            {"p": ("int", 3), "exps": ("int_list", None)},
+            {"p": ("int", 3, None, None), "exps": ("int_list", None, 1, None)},
+            lambda q: sum(q["exps"]),
             _single(
                 lambda p, exps: build_abelian(
                     p, exps, label=f"abelian(p={p},exps={'.'.join(map(str, exps))})"
@@ -188,7 +187,8 @@ ENTRIES: Dict[str, CatalogEntry] = {
         CatalogEntry(
             "unitriangular",
             "upper unitriangular n x n matrices over Z/p^m",
-            {"n": ("int", 3), "p": ("int", 3), "m": ("int", 1)},
+            {"n": ("int", 3, 2, None), "p": ("int", 3, None, None), "m": ("int", 1, 1, None)},
+            lambda q: q["m"] * q["n"] * (q["n"] - 1) // 2,
             _single(
                 lambda n, p, m: build_unitriangular(
                     n, p, m, label=f"unitriangular(n={n},p={p},m={m})"
@@ -199,31 +199,36 @@ ENTRIES: Dict[str, CatalogEntry] = {
             "mann_nonpf",
             "C_(p^2) shifting an elementary abelian group of rank p; "
             "powerful class p, not a PF-group",
-            {"p": ("int", 3)},
+            {"p": ("int", 3, None, None)},
+            lambda q: q["p"] + 2,
             _single(_mann_nonpf),
         ),
         CatalogEntry(
             "potent_nopwc",
             "two-generator potent group (p > 3) with powerful class n(p-2)+1",
-            {"p": ("int", 5), "n": ("int", 1)},
+            {"p": ("int", 5, 5, None), "n": ("int", 1, 1, None)},
+            lambda q: q["n"] * (q["p"] - 1) + 1,
             _single(_potent_nopwc),
         ),
         CatalogEntry(
             "kirillov_quotient",
             "finite quotient of the shift action with [x_(p-1), alpha] = x_p^p",
-            {"p": ("int", 3), "e": ("int", 2)},
+            {"p": ("int", 3, None, None), "e": ("int", 2, 1, None)},
+            lambda q: (q["p"] + 1) * q["e"],
             _single(_kirillov_quotient),
         ),
         CatalogEntry(
             "mainline_coclass1",
             "C_p on Z[zeta_p]/(zeta_p - 1)^k; order p^(k+1), class k",
-            {"p": ("int", 3), "k": ("int", None)},
+            {"p": ("int", 3, None, None), "k": ("int", None, 1, None)},
+            lambda q: q["k"] + 1,
             _single(_mainline_coclass1),
         ),
         CatalogEntry(
             "wreath",
             "regular wreath product C_p wr C_p",
-            {"p": ("int", 3)},
+            {"p": ("int", 3, None, None)},
+            lambda q: q["p"] + 1,
             _single(_wreath),
         ),
     ]
@@ -234,18 +239,28 @@ def catalog_list() -> List[str]:
     return sorted(ENTRIES)
 
 
-def _param_int(name: str, key: str, val: object) -> int:
-    if isinstance(val, int) and not isinstance(val, bool):
-        return val
-    raise ParamOutOfRange(f"{name} parameter {key!r} must be an integer, got {val!r}")
+def _param_int(
+    name: str, key: str, val: object, least: Optional[int], most: Optional[int]
+) -> int:
+    if not isinstance(val, int) or isinstance(val, bool):
+        raise ParamOutOfRange(f"{name} parameter {key!r} must be an integer, got {val!r}")
+    if least is not None and val < least:
+        raise ParamOutOfRange(f"{name} requires {key} >= {least}, got {val}")
+    if most is not None and val > most:
+        raise ParamOutOfRange(f"{name} requires {key} <= {most}, got {val}")
+    return val
 
 
 def resolve_params(name: str, params: Params) -> Params:
+    """The full parameters of an instance, once every check in the module docstring passes."""
     entry = ENTRIES.get(name)
     if entry is None:
         raise UnknownName(f"unknown catalog entry {name!r}; known: {', '.join(catalog_list())}")
+    extra = set(params) - set(entry.param_schema)
+    if extra:
+        raise ParamOutOfRange(f"{name} does not take parameters {sorted(extra)}")
     out: Params = {}
-    for key, (kind, default) in entry.param_schema.items():
+    for key, (kind, default, least, most) in entry.param_schema.items():
         if key in params:
             val = params[key]
         elif default is not None:
@@ -253,23 +268,21 @@ def resolve_params(name: str, params: Params) -> Params:
         else:
             raise ParamOutOfRange(f"{name} requires parameter {key!r}")
         if kind == "int":
-            out[key] = _param_int(name, key, val)
+            out[key] = _param_int(name, key, val, least, most)
         else:
             # a scalar is a one-element list: ``--param exps=3`` means C_{p^3}
             vals = val if isinstance(val, (list, tuple)) else (val,)
-            out[key] = tuple(_param_int(name, key, v) for v in vals)
-    extra = set(params) - set(entry.param_schema)
-    if extra:
-        raise ParamOutOfRange(f"{name} does not take parameters {sorted(extra)}")
+            if not vals:
+                raise ParamOutOfRange(f"{name} parameter {key!r} must not be empty")
+            out[key] = tuple(_param_int(name, key, v, least, most) for v in vals)
+    p = validate_odd_prime(out["p"])  # type: ignore[arg-type]
+    _check_cap(p, entry.order_exponent(out), instance_key(name, out))
     return out
 
 
 def catalog_instances(name: str, /, **params: object) -> List[FiniteGroup]:
-    """The groups of a catalog entry, refused before any is built if over the element cap."""
-    full = resolve_params(name, dict(params))
-    p, e = _instance_exponent(name, full)
-    validate_odd_prime(p)
-    _check_cap(p, e, instance_key(name, full))
+    """The groups of a catalog entry, built only once ``resolve_params`` passes its parameters."""
+    full = resolve_params(name, params)
     return ENTRIES[name].expand(full)
 
 
@@ -320,39 +333,11 @@ def suite_instances(max_order: Optional[int] = None) -> List[Tuple[str, Params]]
     """Default suite filtered by group order without building the groups."""
     out = []
     for name, params in DEFAULT_SUITE:
-        if max_order is None or _instance_order(name, params) <= max_order:
+        full = resolve_params(name, params)
+        order = full["p"] ** ENTRIES[name].order_exponent(full)  # type: ignore[operator]
+        if max_order is None or order <= max_order:
             out.append((name, params))
     return out
-
-
-def _instance_order(name: str, params: Params) -> int:
-    p, e = _instance_exponent(name, params)
-    return p**e
-
-
-def _instance_exponent(name: str, params: Params) -> Tuple[int, int]:
-    """(p, e) with p^e the order of each group the instance expands to; p^e is not computed."""
-    p = int(params.get("p", 3))  # type: ignore[call-overload]
-    if name == "order27_all":
-        return 3, 3
-    if name in ("heisenberg", "modular"):
-        return p, 3
-    if name == "abelian":
-        return p, sum(params["exps"])  # type: ignore[arg-type]
-    if name == "unitriangular":
-        n, m = int(params["n"]), int(params["m"])  # type: ignore[call-overload]
-        return p, m * n * (n - 1) // 2
-    if name == "mann_nonpf":
-        return p, p + 2
-    if name == "potent_nopwc":
-        return p, int(params["n"]) * (p - 1) + 1  # type: ignore[call-overload]
-    if name == "kirillov_quotient":
-        return p, p * int(params["e"]) + int(params["e"])  # type: ignore[call-overload]
-    if name == "mainline_coclass1":
-        return p, int(params["k"]) + 1  # type: ignore[call-overload]
-    if name == "wreath":
-        return p, p + 1
-    raise UnknownName(name)
 
 
 _EXPECTED: Optional[Dict[str, dict]] = None

@@ -85,8 +85,8 @@ def _parse_params(pairs: List[str], prime: Optional[int]) -> Dict[str, object]:
             params[key] = tuple(int(v) for v in val.split(",")) if "," in val else int(val)
         except ValueError:
             raise ParamOutOfRange(f"--param {key} must be an integer list, got {val!r}") from None
-    if prime is not None:
-        params["p"] = prime
+    if prime is not None and params.setdefault("p", prime) != prime:
+        raise ParamOutOfRange(f"--prime {prime} contradicts --param p={params['p']}")
     return params
 
 
@@ -187,7 +187,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
                 entry = cat.ENTRIES[name]
                 params = ", ".join(
                     f"{k}={'required' if d is None else d}"
-                    for k, (_, d) in entry.param_schema.items()
+                    for k, (_, d, _, _) in entry.param_schema.items()
                 )
                 sys.stdout.write(f"{name} ({params}): {entry.summary}\n")
         return 0

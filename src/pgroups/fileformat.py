@@ -154,11 +154,7 @@ def _load_catalog(doc: dict, prime: int) -> List[FiniteGroup]:
     params.setdefault("p", prime)
     if "exps" in params:
         params["exps"] = _int_list(params["exps"], "params.exps")
-    groups = catalog_instances(name, **params)
-    for G in groups:
-        if G.p != prime:
-            raise FormatError("catalog: built group prime contradicts the document prime")
-    return groups
+    return catalog_instances(name, **params)
 
 
 def loads(text: str) -> List[FiniteGroup]:
@@ -179,15 +175,14 @@ def load_path(path: str) -> List[FiniteGroup]:
 
 
 def catalog_document(name: str, params: dict) -> dict:
-    """A pgroup-v1 document reproducing a catalog entry."""
+    """A pgroup-v1 document reproducing a catalog entry; its parameters pass ``resolve_params``."""
     full = resolve_params(name, params)
-    prime = int(full.get("p", 3))  # every entry takes p
     out_params = {
         k: (list(v) if isinstance(v, tuple) else v) for k, v in full.items()
     }
     return {
         "format": FORMAT,
-        "prime": prime,
+        "prime": full["p"],  # every entry takes p
         "kind": "catalog",
         "name": name,
         "params": out_params,

@@ -58,10 +58,10 @@ Word = Tuple[Tuple[int, int], ...]
 
 def validate_odd_prime(p: int) -> int:
     """Return p if it is an odd prime, else raise NotOddPrime (SizeLimitExceeded above the cap)."""
-    if not isinstance(p, int) or p < 3:
+    if not isinstance(p, int) or p < 2:
         raise NotOddPrime(f"p must be an odd prime >= 3, got {p!r}")
     if p % 2 == 0:
-        raise NotOddPrime(f"p = 2 is not supported (got {p})")
+        raise NotOddPrime("p = 2 is not supported" if p == 2 else f"{p} is not prime")
     if p > ELEMENT_CAP:  # every group built has order at least p
         raise SizeLimitExceeded(f"p = {p} exceeds the element cap {ELEMENT_CAP}")
     d = 3

@@ -2,11 +2,13 @@ import pytest
 
 from pgroups.catalog import (
     DEFAULT_SUITE,
+    ENTRIES,
     catalog_build,
     catalog_instances,
     catalog_list,
     expected_record,
     instance_key,
+    resolve_params,
     suite_instances,
 )
 from pgroups.errors import NotOddPrime, ParamOutOfRange, UnknownName
@@ -52,6 +54,33 @@ def test_param_validation():
         catalog_build("heisenberg", p=2)
     with pytest.raises(ParamOutOfRange):
         catalog_build("mainline_coclass1", p=3, k=0)
+    with pytest.raises(ParamOutOfRange):
+        resolve_params("abelian", {"exps": ()})  # no group is built to reject it
+
+
+# one instance per entry beyond DEFAULT_SUITE, each under the element cap
+_MORE_INSTANCES = [
+    ("heisenberg", {"p": 7}),
+    ("modular", {"p": 5}),
+    ("abelian", {"p": 5, "exps": (2, 1)}),
+    ("unitriangular", {"n": 4, "p": 3, "m": 1}),
+    ("mann_nonpf", {"p": 5}),
+    ("wreath", {"p": 5}),
+    ("kirillov_quotient", {"p": 5, "e": 1}),
+    ("mainline_coclass1", {"p": 5, "k": 6}),
+    ("order27_all", {}),
+]
+
+
+def test_each_entry_states_the_order_it_builds(groups):
+    # the cap and the suite's order filter read the stated order, not a built group
+    for name, params in DEFAULT_SUITE + _MORE_INSTANCES:
+        full = resolve_params(name, params)
+        order = full["p"] ** ENTRIES[name].order_exponent(full)
+        built = [groups(name, **params)] if name != "order27_all" else catalog_instances(name)
+        assert [G.order for G in built] == [order] * len(built), (name, params)
+    assert len(catalog_instances("order27_all")) == 5
+    assert {name for name, _ in DEFAULT_SUITE + _MORE_INSTANCES} == set(ENTRIES)
 
 
 def test_order27_all_expands_to_five(groups):

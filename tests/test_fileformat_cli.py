@@ -441,6 +441,38 @@ def test_cli_catalog_get_with_params(tmp_path):
     assert main(["catalog", "get", "abelian", "--prime", "3", "--param", "exps"]) == 2
 
 
+# analyze rejects each, so catalog get must refuse it too, with the same
+# exit code and before it writes anything
+_GET_REJECTED = {
+    "heisenberg-p4": (["heisenberg", "--prime", "4"], "NotOddPrime"),
+    "mainline-k0": (["mainline_coclass1", "--param", "k=0"], "ParamOutOfRange"),
+    "potent-p3": (["potent_nopwc", "--prime", "3"], "ParamOutOfRange"),
+    "order27-p5": (["order27_all", "--prime", "5"], "ParamOutOfRange"),
+    "abelian-exps0": (["abelian", "--param", "exps=0"], "ParamOutOfRange"),
+    "mainline-k-over-cap": (["mainline_coclass1", "--param", "k=100000000"], "SizeLimitExceeded"),
+}
+
+
+@pytest.mark.parametrize("args, error", list(_GET_REJECTED.values()), ids=list(_GET_REJECTED))
+def test_cli_catalog_get_rejects_what_analyze_rejects(args, error, tmp_path, capsys):
+    target = tmp_path / "g.json"
+    assert main(["catalog", "get", *args, "-o", str(target)]) == EXIT_CODES[error]
+    assert not target.exists()
+    assert main(["analyze", "--catalog", *args]) == EXIT_CODES[error]
+    if error == "SizeLimitExceeded":
+        err = capsys.readouterr().err
+        assert "SizeLimitExceeded" in err and "mainline_coclass1|k=100000000|p=3" in err
+
+
+@pytest.mark.parametrize("command", [["analyze", "--json", "--catalog"], ["catalog", "get"]])
+def test_cli_prime_must_agree_with_param_p(command, capsys):
+    abelian = [*command, "abelian", "--param", "exps=1"]
+    assert main([*abelian, "--prime", "3", "--param", "p=5"]) == 2
+    assert "--prime 3 contradicts --param p=5" in capsys.readouterr().err
+    assert main([*abelian, "--prime", "5", "--param", "p=5"]) == 0
+    assert '"prime":5' in capsys.readouterr().out
+
+
 def test_cli_verify_small(capsys):
     code = main(["verify", "omega", "--max-order", "81", "--json"])
     out = json.loads(capsys.readouterr().out)

@@ -42,6 +42,14 @@ def test_rejects_non_odd_primes(bad):
         validate_odd_prime(bad)
 
 
+@pytest.mark.parametrize("p, message", [(2, "p = 2 is not supported"), (4, "4 is not prime"),
+                                        (10, "10 is not prime")])
+def test_even_numbers_are_named_as_given(p, message):
+    with pytest.raises(NotOddPrime) as info:
+        validate_odd_prime(p)
+    assert str(info.value) == message
+
+
 def test_every_constructor_rejects_two():
     with pytest.raises(NotOddPrime):
         build_abelian(2, [1, 1])

@@ -11,6 +11,8 @@ answers must leave byte-identical:
   - ``verify all --json`` and ``verify all --extended --json``;
   - ``series --type T --json`` of each ``DEFAULT_SUITE`` group for the three
     series types, whose witness lists are part of the output;
+  - ``catalog list``, ``catalog list --json``, and the document that
+    ``catalog get`` writes for each ``DEFAULT_SUITE`` instance;
   - the p-th power map (``FiniteGroup.pth_map``), which every answer
     reads, of three unitriangular groups, of the class 2 pc group of order
     3^8, and of two groups derived from ``kirillov_quotient p=3 e=2``: its
@@ -91,13 +93,18 @@ PC_FILES = {
 }
 
 
-def catalog_args(name, params):
-    """The --catalog and --param arguments that select one catalog instance."""
-    args = ["--catalog", name]
+def param_args(params):
+    """The --param arguments that give a catalog instance its parameters."""
+    args = []
     for key, value in params.items():
         text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
         args += ["--param", f"{key}={text}"]
     return args
+
+
+def catalog_args(name, params):
+    """The --catalog and --param arguments that select one catalog instance."""
+    return ["--catalog", name, *param_args(params)]
 
 
 def artifacts():
@@ -111,6 +118,10 @@ def artifacts():
     for kind in SERIES_TYPES:
         for name, params in cat.DEFAULT_SUITE:
             yield ["series", *catalog_args(name, params), "--type", kind, "--json"]
+    yield ["catalog", "list"]
+    yield ["catalog", "list", "--json"]
+    for name, params in cat.DEFAULT_SUITE:
+        yield ["catalog", "get", name, *param_args(params)]
 
 
 def power_maps():
