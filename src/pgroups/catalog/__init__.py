@@ -70,25 +70,22 @@ def _modular(p: int) -> FiniteGroup:
     return build_from_pc(pres, label=f"modular(p={p})")
 
 
-def _shift_action(M: FiniteGroup, wrap_last: Optional[int]) -> List[int]:
-    """Images x_i -> x_i x_(i+1), with the last generator mapped per wrap_last."""
+def _shift_action(M: FiniteGroup, last: int) -> List[int]:
+    """Images x_i -> x_i x_(i+1), with the last generator mapped to ``last``."""
     gens = M.generators
-    images = [M.mul(gens[i], gens[i + 1]) for i in range(len(gens) - 1)]
-    images.append(gens[-1] if wrap_last is None else wrap_last)
-    return images
+    return [M.mul(gens[i], gens[i + 1]) for i in range(len(gens) - 1)] + [last]
 
 
 def _mann_nonpf(p: int) -> FiniteGroup:
     M = build_abelian(p, [1] * p)
-    images = _shift_action(M, None)
+    images = _shift_action(M, M.generators[-1])
     return build_semidirect(M, images, 2, label=f"mann_nonpf(p={p})")
 
 
 def _potent_nopwc(p: int, n: int) -> FiniteGroup:
     M = build_abelian(p, [n + 1] + [n] * (p - 3))
     gens = M.generators
-    images = [M.mul(gens[i], gens[i + 1]) for i in range(p - 3)]
-    images.append(M.mul(gens[-1], M.pow(gens[0], p)))
+    images = _shift_action(M, M.mul(gens[-1], M.pow(gens[0], p)))
     return build_semidirect(M, images, n, label=f"potent_nopwc(p={p},n={n})")
 
 

@@ -2,6 +2,9 @@
 
 Exit codes: 0 success; 2 malformed input; 3 enumeration budget exceeded;
 verify additionally returns 1 when any checked property fails.
+
+The parser is built once, when this module is imported, so ``main`` may be
+called repeatedly in one process and each call pays only for parsing.
 """
 
 from __future__ import annotations
@@ -81,6 +84,8 @@ def _parse_params(pairs: List[str], prime: Optional[int]) -> Dict[str, object]:
         key, sep, val = pair.partition("=")
         if not sep or not key:
             raise ParamOutOfRange(f"--param must look like k=v, got {pair!r}")
+        if key in params:
+            raise ParamOutOfRange(f"--param {key} given twice")
         try:
             params[key] = tuple(int(v) for v in val.split(",")) if "," in val else int(val)
         except ValueError:
@@ -195,8 +200,11 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     doc = catalog_document(args.name, params)
     text = canonical_json(doc)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise FormatError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0
@@ -265,9 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except BudgetExceeded as exc:

@@ -529,6 +529,10 @@ def _check_pc_consistency(G: FiniteGroup, back: _PcBackend) -> None:
     """
     mul, pw, p = G.mul, G.pow, G.p
     gens = [0] + G.generators  # gens[i] is g_i
+    # g_i^p and g_i^(p-1), each taken once at level i; the levels run from
+    # g_n down, so every g_j (j > i) has its powers by the time g_i needs them
+    pow_p = [0] * (back.n + 1)
+    pow_pm1 = [0] * (back.n + 1)
 
     def agree(overlap: str, left: str, lhs: int, right: str, rhs: int) -> None:
         if lhs != rhs:
@@ -539,20 +543,21 @@ def _check_pc_consistency(G: FiniteGroup, back: _PcBackend) -> None:
 
     for i in range(back.n, 0, -1):
         gi, si = gens[i], f"g_{i}"
-        gi_p = pw(gi, p)
+        gi_p = pow_p[i] = pw(gi, p)
+        gi_pm1 = pow_pm1[i] = pw(gi, p - 1)
         agree(f"{si}^{p + 1}", f"({si}^{p}) {si}", mul(gi_p, gi), f"{si} ({si}^{p})", mul(gi, gi_p))
         for j in range(i + 1, back.n + 1):
             gj, sj = gens[j], f"g_{j}"
             gjgi = mul(gj, gi)
             agree(
                 f"{sj}^{p} {si}",
-                f"({sj}^{p}) {si}", mul(pw(gj, p), gi),
-                f"{sj}^{p - 1} ({sj} {si})", mul(pw(gj, p - 1), gjgi),
+                f"({sj}^{p}) {si}", mul(pow_p[j], gi),
+                f"{sj}^{p - 1} ({sj} {si})", mul(pow_pm1[j], gjgi),
             )
             agree(
                 f"{sj} {si}^{p}",
                 f"{sj} ({si}^{p})", mul(gj, gi_p),
-                f"({sj} {si}) {si}^{p - 1}", mul(gjgi, pw(gi, p - 1)),
+                f"({sj} {si}) {si}^{p - 1}", mul(gjgi, gi_pm1),
             )
             for k in range(j + 1, back.n + 1):
                 gk, sk = gens[k], f"g_{k}"

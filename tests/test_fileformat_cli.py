@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -471,6 +474,76 @@ def test_cli_prime_must_agree_with_param_p(command, capsys):
     assert "--prime 3 contradicts --param p=5" in capsys.readouterr().err
     assert main([*abelian, "--prime", "5", "--param", "p=5"]) == 0
     assert '"prime":5' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["analyze", "--catalog", "heisenberg", "--param", "p=3", "--param", "p=5"], "p"),
+        (["analyze", "--catalog", "heisenberg", "--param", "p=3", "--param", "p=3"], "p"),
+        (["catalog", "get", "abelian", "--prime", "3",
+          "--param", "exps=1", "--param", "exps=2"], "exps"),
+    ],
+    ids=["analyze-p-differs", "analyze-p-agrees", "catalog-get-exps"],
+)
+def test_cli_repeated_param_key_is_malformed_input(argv, key, capsys):
+    # a repeated key is refused whether or not its values agree, never
+    # silently read as its last value
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"--param {key} given twice" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_catalog_get_unwritable_output_is_malformed_input(tmp_path, capsys):
+    target = tmp_path / "missing" / "dir" / "x.json"
+    assert main(["catalog", "get", "heisenberg", "--prime", "3", "-o", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("error:") == 1 and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_cli_main_does_not_rebuild_the_parser(monkeypatch, capsys):
+    # the parser is built once, at import; main only parses
+    def refuse():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert main(["analyze", "--catalog", "heisenberg", "--prime", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["group"]["order"] == [3, 3]
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--catalog", "heisenberg", "--budget", "0"])
+    assert exc.value.code == 2
+
+
+def test_cli_repeated_in_process_calls_match_fresh_processes(tmp_path, capsys):
+    # one parser serves every call: a call's exit code and stdout bytes are
+    # those of a fresh process, whatever calls came before it in this one
+    group = tmp_path / "h.json"
+    group.write_text(canonical_json(catalog_document("heisenberg", {"p": 3})))
+    sequence = [
+        ["catalog", "get", "abelian", "--prime", "3", "--param", "exps=2,1"],
+        ["catalog", "get", "heisenberg", "--prime", "3"],
+        ["analyze", str(group), "--skip", "pf", "--json"],
+        ["analyze", str(group), "--json"],
+        ["analyze", str(group), "--budget", "0"],
+        ["analyze", str(group), "--json"],
+        ["series", str(group), "--type", "lower-central", "--json"],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out.encode("utf-8")
+        fresh = subprocess.run(
+            [sys.executable, "-m", "pgroups.cli", *argv], env=env, capture_output=True
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
 
 
 def test_cli_verify_small(capsys):

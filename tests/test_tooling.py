@@ -5,7 +5,7 @@ from pgroups import build_from_pc
 from pgroups import catalog as cat
 from pgroups import eta_series, verify
 from pgroups import subgroups as sg
-from pgroups.groups import _PcBackend
+from pgroups.groups import FiniteGroup, _PcBackend
 from pgroups.report import analyze_group
 
 import oracles
@@ -364,6 +364,22 @@ def test_pc_build_builds_no_lattice_tables():
     # a group that is never analyzed never needs them
     G = build_from_pc(class2_pres_3_8())
     assert "tables" not in G.cache
+
+
+def test_pc_overlap_test_takes_each_power_once(monkeypatch):
+    # each generator's p-th and (p-1)-th powers are taken once, at its own
+    # level of the overlap test, not again for every pair that reads them
+    calls = [0]
+    power = FiniteGroup.pow
+
+    def counting(G, x, e):
+        calls[0] += 1
+        return power(G, x, e)
+
+    monkeypatch.setattr(FiniteGroup, "pow", counting)
+    pres = class2_pres_3_8()
+    build_from_pc(pres)
+    assert calls[0] <= 2 * pres.ngens
 
 
 def test_pc_build_decodes_no_element(monkeypatch):
