@@ -7,19 +7,14 @@ the product of all of them, and that product is again powerfully embedded);
 iterating eta on quotients yields the upper eta-series, whose length is the
 powerful class of G.
 
-No quotient group and no closure is built here.  For normal N <= M of G,
-M/N is powerfully embedded in G/N exactly when [M, G] <= M^p N, and M^p N,
-a product of two normal subgroups, is again a member of G's normal lattice.
-So eta of every quotient G/N (pulled back to G), the upper eta-series,
-powerful height and the eta-series test are all read off G's one cached
-lattice: an eta step over K below N is the first member of the interval
-[K, N], scanned from the top, to pass the test (``_eta_over``), and the
-steps make one greedy chain (``_eta_chain``).  Every scan here is such an
-interval of the lattice (``subgroups.lattice_interval``).
-[M, G] is a ``normal_hull`` lookup in that lattice, and M^p its first
-member K with M inside the power map's memoised preimage of K, so no
-element of M is raised to a power (``subgroups``); the first of them
-enumerates the lattice.  The powerfully-embedded test is N = 1.
+No quotient group and no closure is built here.  For normal K <= M, M/K
+is powerfully embedded in G/K exactly when [M, G] <= M^p K, and both sides
+are lookups in G's one cached lattice (``subgroups``), which the first of
+them enumerates.  An eta step over K below N is the greatest fixed point
+of M -> {x in M : [x, g] in M^p K for each generator g}, reached by
+descending from N with no scan of the lattice (``_eta_over``); the steps
+make one greedy chain (``_eta_chain``), the upper eta-series when N = G.
+Uniserial action is read off the lower central factors (``_acts_uniserially``).
 """
 
 from __future__ import annotations
@@ -36,6 +31,7 @@ from .subgroups import (
     coclass,
     commutator_with_group,
     lattice_interval,
+    lower_central_series,
     lower_central_term,
     nilpotency_class,
     normal_hull,
@@ -56,11 +52,15 @@ def is_powerful(G: FiniteGroup) -> bool:
     return is_powerfully_embedded(G, whole_subgroup(G))
 
 
+def _power_product(G: FiniteGroup, M: Subgroup, N: Subgroup) -> Subgroup:
+    """M^p N, a lattice member (M and N normal)."""
+    mp = power_subgroup(G, M, 1)
+    return mp if N.is_trivial() else normal_hull(G, mp.bits | N.bits)
+
+
 def _pe_over(G: FiniteGroup, M: Subgroup, N: Subgroup) -> bool:
     """M/N is powerfully embedded in G/N, i.e. [M, G] <= M^p N (N <= M normal)."""
-    mpn = power_subgroup(G, M, 1).bits
-    if not N.is_trivial():
-        mpn = normal_hull(G, mpn | N.bits).bits
+    mpn = _power_product(G, M, N).bits
     return commutator_with_group(G, M).bits | mpn == mpn
 
 
@@ -80,27 +80,32 @@ def powerfully_embedded_normals(G: FiniteGroup) -> List[Subgroup]:
 
 
 def _eta_over(G: FiniteGroup, K: Subgroup, N: Subgroup) -> Subgroup:
-    """The largest normal M with K <= M <= N and M/K powerfully embedded in G/K.
+    """The largest normal E with K <= E <= N and E/K powerfully embedded in G/K.
 
     K <= N are normal.  If A/K and B/K pass, so does AB/K, as [AB, G] =
-    [A, G][B, G] <= A^p B^p K <= (AB)^p K.  So M holds every passing member
-    and is the only one of its order: it is the first member of the lattice
-    interval [K, N], from the top, to pass (K itself passes).  M is
-    certified to contain the preimage of Z(G/K) within N (central in G/K,
-    so it passes).  With N = G, M is the preimage of eta(G/K).
+    [A, G][B, G] <= (AB)^p K, so E exists.  For normal M in [K, N] let
+    f(M) = {x in N : [x, g] in M^p K for each generator g}.  M/K passes iff
+    [M, G] <= M^p K, i.e. iff M <= f(M), and f is monotone.  So M_0 = N,
+    M_(j+1) = f(M_j) descends, and E <= f(E) gives E <= M_j for every j; the
+    limit M* = f(M*) passes, so M* = E, the greatest fixed point of f
+    (Tarski, Pacific J. Math. 5, 1955).  Each M_j is normal, so a lattice
+    member.  By monotony E >= f(K), Z(G/K)'s preimage cut to N, which is
+    certified.  With N = G, E is the preimage of eta(G/K).
     """
     key = ("eta_over", K.bits, N.bits)
     hit = G.cache.get(key)
     if hit is None:
         where = f"{G.label} over its normal subgroup of order {K.order}"
-        for e in lattice_interval(G, K.bits, N.bits, descending=True):
-            if _pe_over(G, e, K):
-                break
-        else:
-            raise InvariantViolation(f"no powerfully embedded step in {where}")
-        if (center_over(G, K).bits & N.bits) | e.bits != e.bits:
+        # M is always the lattice member, not the caller's N: its witnesses are printed
+        M, F = None, N.bits
+        while M is None or F != M.bits:
+            M = normal_hull(G, F)
+            if M.bits != F:
+                raise InvariantViolation(f"an eta descent step of {where} is not normal")
+            F = center_over(G, _power_product(G, M, K)).bits & F
+        if (center_over(G, K).bits & N.bits) | M.bits != M.bits:
             raise InvariantViolation(f"the eta step of {where} does not contain the center")
-        G.cache[key] = hit = e
+        G.cache[key] = hit = M
     return hit
 
 
@@ -242,6 +247,7 @@ def uniserial_report(G: FiniteGroup) -> UniserialReport:
 
 
 def _uniserial_report(G: FiniteGroup) -> UniserialReport:
+    """The report; uniserial action is the factor-order test ``_acts_uniserially``."""
     p = G.p
     r = coclass(G)
     if r == 0:  # only the trivial group; p^(r-1) would not be an integer
@@ -250,41 +256,34 @@ def _uniserial_report(G: FiniteGroup) -> UniserialReport:
     if G.order < p ** (2 * p**r + r):
         return UniserialReport(applicable=False, coclass_r=r, m=m)
     c = nilpotency_class(G)
-    found = None
-    checks: List[Tuple[int, bool]] = []
     for s in range(r):
         d = (p - 1) * p**s
-        checks = []
-        ok = True
-        for i in range(m, c + 2):
-            lhs = power_subgroup(G, lower_central_term(G, i), 1)
-            rhs = lower_central_term(G, i + d)
-            good = lhs.bits == rhs.bits
-            checks.append((i, good))
-            ok = ok and good
-        if ok:
-            found = s
-            break
-    if found is None:
-        raise NoValidS(
-            f"no shift 0 <= s <= {r - 1} satisfies gamma_i^p = gamma_(i+d) in {G.label}"
+        checks = tuple(
+            (i, power_subgroup(G, lower_central_term(G, i), 1) == lower_central_term(G, i + d))
+            for i in range(m, c + 2)
         )
-    d = (p - 1) * p**found
-    # every nontrivial normal H <= gamma_m has |H : [H, G]| = p
-    uniserial = all(
-        H.order == p * commutator_with_group(G, H).order
-        for H in lattice_interval(G, 1, lower_central_term(G, m).bits)
-        if not H.is_trivial()
-    )
+        if all(good for _, good in checks):
+            break
+    else:
+        raise NoValidS(f"no shift 0 <= s <= {r - 1} satisfies gamma_i^p = gamma_(i+d) in {G.label}")
     return UniserialReport(
-        applicable=True,
-        coclass_r=r,
-        m=m,
-        shift_s=found,
-        d=d,
-        uniserial=uniserial,
-        power_shift_checks=tuple(checks),
+        applicable=True, coclass_r=r, m=m, shift_s=s, d=d,
+        uniserial=_acts_uniserially(G, m), power_shift_checks=checks,
     )
+
+
+def _acts_uniserially(G: FiniteGroup, m: int) -> bool:
+    """Every nontrivial normal H <= gamma_m(G) has |H : [H, G]| = p (m >= 1).
+
+    That holds iff |gamma_i : gamma_(i+1)| = p for every i >= m with
+    gamma_i > 1.  Necessity: take H = gamma_i.  Sufficiency: let i be the
+    largest with H <= gamma_i, so H gamma_(i+1) = gamma_i.  If H gamma_(j+1)
+    >= gamma_j, then H gamma_(j+2) >= [H gamma_(j+1), G] gamma_(j+2) >=
+    gamma_(j+1).  So H gamma_j = H gamma_(j+1) for every j >= i, H = gamma_i
+    and |H : [H, G]| = |gamma_i : gamma_(i+1)| = p.
+    """
+    terms = lower_central_series(G).terms[m - 1 :]
+    return all(a.order == G.p * b.order for a, b in zip(terms, terms[1:]))
 
 
 def pwccoclass_bound_check(G: FiniteGroup) -> bool:

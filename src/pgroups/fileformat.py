@@ -101,22 +101,29 @@ def _load_pc(doc: dict, prime: int) -> FiniteGroup:
         raise FormatError("pc: powers and conjugates must be objects")
     powers: Dict[int, tuple] = {}
     for key, val in powers_doc.items():
-        try:
-            i = int(key)
-        except ValueError:
-            raise FormatError(f"pc: bad power-relation key {key!r}") from None
+        (i,) = _key_ints(key, 1, "power-relation key", '"i"')
         powers[i] = _word(val, f"powers[{key}]")
     conjugates: Dict[Tuple[int, int], tuple] = {}
     for key, val in conj_doc.items():
-        parts = key.split(",")
-        if len(parts) != 2:
-            raise FormatError(f"pc: conjugate key {key!r} must look like \"j,i\"")
-        try:
-            j, i = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"pc: conjugate key {key!r} must look like \"j,i\"") from None
+        j, i = _key_ints(key, 2, "conjugate key", '"j,i"')
         conjugates[(j, i)] = _word(val, f"conjugates[{key}]")
     return build_from_pc(PcPresentation(prime, ngens, powers, conjugates))
+
+
+def _key_ints(key: str, count: int, what: str, shape: str) -> List[int]:
+    """The count comma-separated integers of a relation key, each spelt as ``str`` spells it.
+
+    Only that one spelling is accepted ("1", not "01", " 1", "+1" or "1_0"),
+    so no two keys of a document name the same relation.
+    """
+    parts = key.split(",")
+    try:
+        ints = [int(part) for part in parts]
+    except ValueError:
+        ints = []
+    if len(ints) == count and all(str(i) == part for i, part in zip(ints, parts)):
+        return ints
+    raise FormatError(f"pc: {what} {key!r} must look like {shape}, in canonical integers")
 
 
 def _load_semidirect(doc: dict, prime: int) -> FiniteGroup:
@@ -157,9 +164,19 @@ def _load_catalog(doc: dict, prime: int) -> List[FiniteGroup]:
     return catalog_instances(name, **params)
 
 
+def _unique_keys(pairs: List[Tuple[str, object]]) -> dict:
+    """A JSON object that names no key twice; a repeated key would keep only its last value."""
+    doc: dict = {}
+    for key, val in pairs:
+        if key in doc:
+            raise FormatError(f"key {key!r} is given twice in one object")
+        doc[key] = val
+    return doc
+
+
 def loads(text: str) -> List[FiniteGroup]:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
     return load_document(doc)

@@ -12,7 +12,9 @@ quotient-group eta machinery (``quotient_upper_eta_series`` and
 ``sweep_pc_group`` (the former pc consistency certificate), ``pwh_bfs``
 (the former cross-check of greedy powerful height), ``random_eta_series``
 (the former sampler of eta-series, now certified in full by ``verify``),
-``eta_over_by_join`` (the former eta step, a join instead of a scan),
+``eta_over_by_join`` (the former eta step, a join instead of a fixed
+point), ``uniserial_by_scan`` (the former uniseriality test, over every
+normal subgroup below gamma_m instead of the lower central factors),
 ``pf_witness_by_closures`` (the former PF search, over the whole lattice
 with closures for [K, G], its iterates and M^p),
 ``orbit_closure`` and ``orbit_normal_closure`` (the former closures, which
@@ -42,7 +44,10 @@ from pgroups.subgroups import (
     Subgroup,
     closure,
     commutator_subgroup,
+    commutator_with_group,
+    enumerate_normal_subgroups,
     join,
+    lower_central_term,
     power_image,
     quotient,
     trivial_subgroup,
@@ -453,6 +458,20 @@ def eta_over_by_join(G: FiniteGroup, K: Subgroup, N: Subgroup) -> Subgroup:
     in N, with no scan order and no product lemma.
     """
     return join(G, [M for M in powerfully_embedded_over(G, K) if M <= N])
+
+
+def uniserial_by_scan(G: FiniteGroup, m: int) -> bool:
+    """Every nontrivial normal H <= gamma_m(G) has |H : [H, G]| = p.
+
+    A scan of G's whole normal lattice, with no use of the lower central
+    factors beyond gamma_m itself.
+    """
+    top = lower_central_term(G, m)
+    return all(
+        H.order == G.p * commutator_with_group(G, H).order
+        for H in enumerate_normal_subgroups(G)
+        if H <= top and not H.is_trivial()
+    )
 
 
 def pf_witness_by_closures(G: FiniteGroup, N: Subgroup) -> Optional[List[int]]:

@@ -6,6 +6,7 @@ from pgroups import build_abelian
 from pgroups import catalog as cat
 from pgroups.errors import NotNormal
 from pgroups.eta_series import (
+    _acts_uniserially,
     _eta_over,
     eta,
     eta_capability_obstruction,
@@ -24,6 +25,7 @@ from pgroups.subgroups import (
     closure,
     enumerate_normal_subgroups,
     lower_central_series,
+    nilpotency_class,
     quotient,
     trivial_subgroup,
     upper_central_series,
@@ -128,17 +130,23 @@ def test_powerful_height_oracle_agrees_everywhere(groups):
             assert powerful_height(G, term) == oracles.pwh_bfs(G, term) <= i
 
 
-def test_eta_step_scan_agrees_with_join(groups):
-    # the scan's first hit is the same lattice member as the join of every
-    # passing one: over each normal K up to G, and from 1 up to each normal N
-    for name, params in cat.suite_instances(729):
+def test_eta_step_fixed_point_agrees_with_join(groups):
+    # the fixed point of the descent is the same lattice member, witness
+    # list included, as the join of every passing one, over each pair K <= N
+    # of normal subgroups
+    instances = cat.suite_instances(729) + [("kirillov_quotient", {"p": 3, "e": 2})]
+    pairs = 0
+    for name, params in instances:
         G = groups(name, **params)
-        one, whole = trivial_subgroup(G), whole_subgroup(G)
-        for X in enumerate_normal_subgroups(G):
-            for K, N in ((X, whole), (one, X)):
-                want = oracles.eta_over_by_join(G, K, N)
-                got = _eta_over(G, K, N)
-                assert got is want and got.bits == want.bits, (G.label, K.order, N.order)
+        normals = enumerate_normal_subgroups(G)
+        for K in normals:
+            for N in normals:
+                if K <= N:
+                    want = oracles.eta_over_by_join(G, K, N)
+                    got = _eta_over(G, K, N)
+                    assert got is want, (G.label, K.order, N.order)
+                    pairs += 1
+    assert pairs == 1_104 + 8_874
 
 
 def test_eta_chain_steps_agree_with_join(groups):
@@ -193,6 +201,27 @@ def test_uniserial_mainline_3_7(groups):
     from pgroups.subgroups import power_subgroup
 
     assert power_subgroup(G, terms[1], 1).bits == terms[3].bits  # gamma_2^3 = gamma_4
+
+
+def test_uniserial_factor_test_agrees_with_scan(groups):
+    # for every m, not only the m of a report, so both answers occur
+    instances = (
+        list(cat.DEFAULT_SUITE)
+        + [("mainline_coclass1", {"p": 3, "k": k}) for k in (7, 8, 9)]
+        + [
+            ("unitriangular", {"n": 4, "p": 3, "m": 1}),
+            ("kirillov_quotient", {"p": 5, "e": 1}),
+            ("wreath", {"p": 5}),
+        ]
+    )
+    answers = []
+    for name, params in instances:
+        G = groups(name, **params)
+        for m in range(1, nilpotency_class(G) + 2):
+            got = _acts_uniserially(G, m)
+            assert got == oracles.uniserial_by_scan(G, m), (G.label, m)
+            answers.append(got)
+    assert (answers.count(True), answers.count(False)) == (80, 27)
 
 
 def test_uniserial_report_is_computed_once(groups):

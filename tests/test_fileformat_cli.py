@@ -101,6 +101,39 @@ def test_malformed_documents_rejected(mutate):
         load_document(doc)
 
 
+PC_HEAD = '"format": "pgroup-v1", "prime": 3, "kind": "pc", "ngens": 2'
+
+
+@pytest.mark.parametrize(
+    "relations",
+    [
+        '"powers": {"1": [[2, 1]], "01": []}',
+        '"powers": {"01": [], "1": [[2, 1]]}',
+        '"powers": {" 1": [[2, 1]]}',
+        '"powers": {"+1": [[2, 1]]}',
+        '"powers": {"0_1": [[2, 1]]}',
+        '"powers": {"1_0": []}',
+        '"powers": {"1": [[2, 1]], "1": []}',
+        '"conjugates": {"2,1": [[2, 1]], "2, 1": [[2, 1]]}',
+        '"conjugates": {"2,01": [[2, 1]]}',
+        '"powers": {}, "prime": 5',
+    ],
+    ids=["zero-padded-last", "zero-padded-first", "space", "plus", "underscore",
+         "underscore-range", "repeated-key", "conjugate-space", "conjugate-zero-padded",
+         "repeated-field"],
+)
+def test_ambiguous_relation_keys_are_malformed_input(relations, tmp_path, capsys):
+    # each document spells one key twice, or a key that int() reads but
+    # that is not its canonical spelling, so what it means would depend on
+    # the keys' order or on int()'s leniency
+    path = tmp_path / "pc.json"
+    path.write_text("{" + PC_HEAD + ", " + relations + "}")
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_loads_rejects_bad_json():
     with pytest.raises(FormatError):
         loads("{not json")

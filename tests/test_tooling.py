@@ -289,26 +289,49 @@ def test_default_suite_table_reaches_are_bounded(monkeypatch):
 
 
 def test_default_suite_pe_tests_are_bounded(monkeypatch):
-    # the powerfully-embedded test count is deterministic, so it pins the
-    # cost of the eta steps without timing anything: each step scans G's
-    # lattice from the top and stops at its first passing member, 301 tests
-    # on the 18 groups, where testing every member and joining the passing
-    # ones took 826
-    calls = [0]
-    pe_over = eta_series._pe_over
+    # the powerfully-embedded test and centre counts are deterministic, so
+    # they pin the cost of the eta steps without timing anything: each step
+    # is a fixed-point descent, one center_over per iteration and one for
+    # its certificate, 140 calls = 95 iterations + 45 certificates on the
+    # 18 groups, and no step tests a member, so the 18 tests left are
+    # is_powerful's, where scanning each step's lattice interval from the
+    # top took 301 tests
+    pe_calls, center_calls = [0], [0]
+    pe_over, center_over = eta_series._pe_over, eta_series.center_over
 
-    def counting(G, M, N):
-        calls[0] += 1
+    def counting_pe(G, M, N):
+        pe_calls[0] += 1
         return pe_over(G, M, N)
 
-    monkeypatch.setattr(eta_series, "_pe_over", counting)
+    def counting_center(G, N):
+        center_calls[0] += 1
+        return center_over(G, N)
+
+    monkeypatch.setattr(eta_series, "_pe_over", counting_pe)
+    monkeypatch.setattr(eta_series, "center_over", counting_center)
     for name, params in cat.DEFAULT_SUITE:
         G = cat.catalog_build(name, **params)
         analyze_group(G)
         if name == "kirillov_quotient":
             # no step lists every powerfully embedded member
             assert not [k for k in G.cache if isinstance(k, tuple) and k[0] == "pwe_over"]
-    assert calls[0] <= 400
+    assert (pe_calls[0], center_calls[0]) == (18, 140)
+
+
+def test_eta_steps_and_uniseriality_scan_no_lattice_interval():
+    # an eta step is a fixed point and uniseriality a factor-order test:
+    # neither scans an interval of G's lattice nor tests its members
+    guarded = ("_acts_uniserially", "_eta_over", "_uniserial_report")
+    tree = ast.parse((SRC / "eta_series.py").read_text(), "eta_series.py")
+    fns = {qualname: fn for qualname, fn in _functions(tree) if qualname in guarded}
+    assert sorted(fns) == list(guarded)
+    found = []
+    for qualname, fn in fns.items():
+        for node in ast.walk(fn):
+            used = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if used in ("lattice_interval", "_pe_over"):
+                found.append(f"{qualname}:{node.lineno} {used}")
+    assert found == []
 
 
 def test_default_verify_backend_products_are_bounded(monkeypatch):
