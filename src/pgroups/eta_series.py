@@ -250,7 +250,7 @@ def _uniserial_report(G: FiniteGroup) -> UniserialReport:
     """The report; uniserial action is the factor-order test ``_acts_uniserially``."""
     p = G.p
     r = coclass(G)
-    if r == 0:  # only the trivial group; p^(r-1) would not be an integer
+    if r == 0:  # |G| <= p; p^(r-1) would not be an integer
         return UniserialReport(applicable=False, coclass_r=0, m=0)
     m = p**r - p ** (r - 1)
     if G.order < p ** (2 * p**r + r):

@@ -23,6 +23,17 @@ unitriangular tables are built over the element index digit by digit, and
 an endomorphism of an abelian group is extended from its generator images
 the same way (``_AbelianBackend.extend``).
 
+Each group holds one int object per element, its ``elements()`` list, and
+every table, power map, coset numbering and subgroup element list takes
+its entries from it.  CPython interns only the ints up to 256, so an entry
+made by arithmetic would be a new 28-byte object beside its 8-byte
+pointer; shared, it costs the pointer alone.  The abelian, unitriangular
+and semidirect backends own the list (``ints``) and gather each block of
+a table from a slice of it (``_stacked``), a quotient or subgroup group
+reuses the first entries of its parent's, and a bare or pc group builds it
+on first use.  pc tables keep their own ints: filling them from the list
+measured slower (``_PcBackend._fill_tables``).
+
 Groups are immutable after construction; per-group caches are filled
 lazily and idempotently.
 
@@ -118,6 +129,7 @@ class FiniteGroup:
         self.generators = list(generators)
         self.label = label
         self.backend = backend
+        self._ints: Optional[List[int]] = getattr(backend, "ints", None)
         self._inv: Dict[int, int] = {}
         self._pth: Optional[List[int]] = None
         self._ordexp: Optional[List[int]] = None
@@ -126,8 +138,16 @@ class FiniteGroup:
 
     # -- element arithmetic ------------------------------------------------
 
-    def elements(self) -> range:
-        return range(self.order)
+    def elements(self) -> List[int]:
+        """The element indices 0..order-1 as G's one shared list of int objects.
+
+        A root backend owns the list (``ints``), a quotient or subgroup group
+        reuses the first entries of its parent's, and a bare or pc group
+        builds it here on first use.  Callers must not mutate it.
+        """
+        if self._ints is None:
+            self._ints = list(range(self.order))
+        return self._ints
 
     def pow(self, x: int, e: int) -> int:
         """x**e by square-and-multiply; x^(-e) is (x^-1)^e."""
@@ -290,10 +310,14 @@ _TO_FLAGS = bytes.maketrans(b"01", b"\0\1")
 _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def bits_iter(bits: int) -> Iterator[int]:
-    """Set bit positions in ascending order, in time linear in bits.bit_length()."""
+def bits_iter(bits: int, ints: Sequence[int]) -> Iterator[int]:
+    """Set bit positions in ascending order, in time linear in bits.bit_length().
+
+    The positions are compressed out of ints, a group's ``elements()``, so
+    each one is the group's own int object for that index, not a new one.
+    """
     flags = bin(bits)[:1:-1].encode().translate(_TO_FLAGS)
-    return compress(range(len(flags)), flags)
+    return compress(ints, flags)
 
 
 def _from_flags(flags: bytearray) -> int:
@@ -319,7 +343,7 @@ class GroupHom:
     def image_bits(self, bits: int) -> int:
         """The bitset of the images of the members of bits, in time linear in |source|."""
         flags = bytearray(self.target.order)
-        for y in map(self.mapping.__getitem__, bits_iter(bits)):
+        for y in map(self.mapping.__getitem__, bits_iter(bits, self.source.elements())):
             flags[y] = 1
         return _from_flags(flags)
 
@@ -470,6 +494,11 @@ class _PcBackend:
         normal word both ways, for any collection that reaches normal words.
         In a consistent presentation every element has one normal word, so
         the entries are the products of the group.
+
+        The entries h + b are new int objects, not the group's shared
+        ``elements()``: filling them as lookups in that list, or gathering
+        each block from a slice of it, measured slower, since the deep
+        levels have thousands of blocks of p entries.
         """
         p, order, tabs, strides = self.p, self.order, self._tab, self._strides
         for i in range(self.n, 0, -1):
@@ -575,9 +604,19 @@ def _check_pc_consistency(G: FiniteGroup, back: _PcBackend) -> None:
 # -- direct products of cyclic groups --------------------------------------
 
 
-def _stacked(blocks: Iterable[Tuple[int, List[int]]]) -> List[int]:
-    """The list that has offset + y for each y of each (offset, block), in turn."""
-    return list(chain.from_iterable(map(offset.__add__, block) for offset, block in blocks))
+def _stacked(ints: List[int], blocks: Iterable[Tuple[int, List[int]]]) -> List[int]:
+    """The list that has ints[offset + y] for each y of each (offset, block), in turn.
+
+    Each block's entries lie below its length, so the block is gathered from
+    the slice of ints at its offset: every entry is the group's own int
+    object for its index (``ints``, the backend's list), where adding the
+    offset would make a new int object per entry above 256.
+    """
+    return list(
+        chain.from_iterable(
+            map(ints[offset : offset + len(block)].__getitem__, block) for offset, block in blocks
+        )
+    )
 
 
 class _AbelianBackend:
@@ -598,6 +637,7 @@ class _AbelianBackend:
             s *= r
         self.strides = strides
         self.order = s
+        self.ints = list(range(s))
 
     def decode(self, x: int) -> List[int]:
         out = []
@@ -626,7 +666,7 @@ class _AbelianBackend:
         """
         table = [0]
         for d, r, s in zip(self.decode(h), self.radices, self.strides):
-            table = _stacked(((u + d) % r * s, table) for u in range(r))
+            table = _stacked(self.ints, (((u + d) % r * s, table) for u in range(r)))
         return table
 
     right_table = add_table
@@ -698,6 +738,7 @@ class _UnitriangularBackend:
         self.q = p**m
         self.positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
         self.order = self.q ** len(self.positions)
+        self.ints = list(range(self.order))
 
     def matrix_of(self, x: int) -> List[List[int]]:
         n = self.n
@@ -764,7 +805,7 @@ class _UnitriangularBackend:
                 shift = 1 if (r, c) == (i, i + 1) else 0
                 images = [(u + shift) % q * s for u in range(q)]
                 k += 1
-            table = _stacked((image, table) for image in images)
+            table = _stacked(self.ints, ((image, table) for image in images))
         return table
 
 
@@ -806,6 +847,7 @@ class _SemidirectBackend:
         self.t = t
         self.amod = M.p**t
         self.order = M.order * self.amod
+        self.ints = list(range(self.order))
 
     def decode(self, x: int) -> Tuple[int, int]:
         return divmod(x, self.M.order)
@@ -830,7 +872,7 @@ class _SemidirectBackend:
         b, h = self.decode(g)
         inner = list(map(self.M.backend.add_table(h).__getitem__, self.pow_maps[b]))
         size, amod = self.M.order, self.amod
-        return _stacked(((a + b) % amod * size, inner) for a in range(amod))
+        return _stacked(self.ints, (((a + b) % amod * size, inner) for a in range(amod)))
 
     def power_map(self) -> List[int]:
         """x -> x^p: (a, m)^p = (p a, N_a(m)) with N_a = alpha^((p-1)a) ... alpha^a 1.
@@ -845,7 +887,7 @@ class _SemidirectBackend:
             maps = [self.pow_maps[k * a % amod] for k in range(p)]
             images = [reduce(back.mul, [f[g] for f in maps]) for g in M.generators]
             blocks.append((p * a % amod * M.order, back.extend(images)))
-        return _stacked(blocks)
+        return _stacked(self.ints, blocks)
 
 
 def extend_to_automorphism(M: FiniteGroup, images: Sequence[int]) -> List[int]:
@@ -900,7 +942,7 @@ def build_semidirect(
     _check_cap(M.p, log_p(M.p, M.order) + t, "semidirect product")
     amap = extend_to_automorphism(M, alpha_images)
     amod = M.p**t
-    pow_maps = [list(range(M.order)), amap]
+    pow_maps = [M.elements(), amap]
     for _ in range(2, amod):
         pow_maps.append(list(map(amap.__getitem__, pow_maps[-1])))
     if list(map(amap.__getitem__, pow_maps[-1])) != pow_maps[0]:

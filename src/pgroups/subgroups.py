@@ -70,7 +70,7 @@ class Subgroup:
         return (self.bits >> x) & 1 == 1
 
     def elements(self) -> Iterator[int]:
-        return bits_iter(self.bits)
+        return bits_iter(self.bits, self.group.elements())
 
     def __le__(self, other: "Subgroup") -> bool:
         return self.bits | other.bits == other.bits
@@ -158,7 +158,7 @@ def closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
 
 
 def _reduce_witnesses(G: FiniteGroup, bits: int) -> List[int]:
-    return _close(G, _flags(G, 1), [0], [], bits_iter(bits))
+    return _close(G, _flags(G, 1), [0], [], bits_iter(bits, G.elements()))
 
 
 def _conjugation_closure(
@@ -378,7 +378,8 @@ class GroupTables:
       each kept generator's whole table from ``right_of``, and nothing else
       takes a product.  ``_tables`` passes the backend's ``right_table``
       (filled in bulk, or gathered through a parent's tables), or a bare
-      group's products;
+      group's products.  All but pc tables hold the int objects of
+      ``G.elements()``, and so does every map gathered through them;
     - a breadth-first word tree: ``x = parent[x] g_(gen[x])``, so ``word(x)``
       spells x in ``gens`` and multiplying a whole list by x, or a power
       walk's step, is a gather along that word (``word_tables``).  It is
@@ -548,7 +549,10 @@ def _tables(G: FiniteGroup) -> GroupTables:
     hit = G.cache.get("tables")
     if hit is None:
         right_of = getattr(G.backend, "right_table", None)
-        hit = GroupTables(G, right_of or (lambda g: [G.mul(x, g) for x in G.elements()]))
+        if right_of is None:
+            ints = G.elements()
+            right_of = lambda g: [ints[G.mul(x, g)] for x in ints]
+        hit = GroupTables(G, right_of)
         G.cache["tables"] = hit
     return hit
 
@@ -714,6 +718,9 @@ class _DerivedBackend:
     read through ``position``.  (xN)^p = x^p N, and H keeps G's p-th powers,
     so the power map is ``position`` of G's; the order of xN is the least
     p^k with x^(p^k) in N.
+
+    Positions are the first len(elems) of G's ``elements()``, so the two
+    groups share their int objects.
     """
 
     def __init__(
@@ -722,6 +729,7 @@ class _DerivedBackend:
     ) -> None:
         self.parent = parent
         self.elems = elems
+        self.ints = parent.elements()[: len(elems)]
         self.position = position
         self.lift: Dict[int, int] = {}
         for g in lifts:
@@ -754,22 +762,24 @@ class _QuotientBackend(_DerivedBackend):
 
     def __init__(self, parent: FiniteGroup, nbits: int):
         right = _tables(parent).right
+        ints = parent.elements()
         coset_of = [-1] * parent.order
         cosets: List[List[int]] = []
 
         def add(coset: List[int]) -> None:
+            number = ints[len(cosets)]
             for x in coset:
-                coset_of[x] = len(cosets)
+                coset_of[x] = number
             cosets.append(coset)
 
-        add(list(bits_iter(nbits)))
+        add(list(bits_iter(nbits, ints)))
         for coset in cosets:  # the list iterator also yields the cosets appended meanwhile
             for r in right:
                 if coset_of[r[coset[0]]] < 0:
                     add(list(map(r.__getitem__, coset)))
         mins = [min(coset) for coset in cosets]
         rank = [0] * len(cosets)
-        for i, j in enumerate(sorted(range(len(cosets)), key=mins.__getitem__)):
+        for i, j in zip(ints, sorted(range(len(cosets)), key=mins.__getitem__)):
             rank[j] = i
         self.reps = sorted(mins)
         self.coset_of = list(map(rank.__getitem__, coset_of))
@@ -789,7 +799,7 @@ def quotient(G: FiniteGroup, N: Subgroup) -> Tuple[FiniteGroup, GroupHom]:
     hit = cache.get(N.bits)
     if hit is None and N.is_trivial():
         # Quotient by 1 is G itself; reusing it keeps every cache warm.
-        hit = (G, GroupHom(G, G, list(G.elements())))
+        hit = (G, GroupHom(G, G, G.elements()))
         cache[N.bits] = hit
     if hit is None:
         back = _QuotientBackend(G, N.bits)
@@ -805,7 +815,7 @@ def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
     hit = cache.get(H.bits)
     if hit is None:
         elems = list(H.elements())
-        index_of = {x: i for i, x in enumerate(elems)}
+        index_of = dict(zip(elems, G.elements()))
         back = _DerivedBackend(G, elems, index_of.__getitem__, H.witness_list())
         hit = back.group(f"{G.label}|sub[{H.order}]")
         cache[H.bits] = hit

@@ -17,9 +17,11 @@ from pgroups.eta_series import (
     powerful_height,
     powerfully_embedded_normals,
     pwccoclass_bound_check,
+    UniserialReport,
     uniserial_report,
     upper_eta_series,
 )
+from pgroups.report import analyze_group
 from pgroups.subgroups import (
     center,
     closure,
@@ -187,6 +189,15 @@ def test_uniserial_below_threshold(groups):
     us = uniserial_report(groups("heisenberg", p=3))
     assert not us.applicable
     assert us.coclass_r == 1 and us.m == 2
+
+
+def test_uniserial_coclass_zero(groups):
+    # C_p has coclass 0, as the trivial group has: the test needs r >= 1
+    G = groups("abelian", p=3, exps=(1,))
+    assert uniserial_report(G) == UniserialReport(applicable=False, coclass_r=0, m=0)
+    assert analyze_group(G)["uniserial"] == {
+        "applicable": False, "coclass": 0, "d": None, "m": 0, "s": None, "uniserial": None,
+    }
 
 
 def test_uniserial_mainline_3_7(groups):

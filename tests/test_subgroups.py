@@ -579,7 +579,7 @@ def test_tables_preimage_matches_its_definition(monkeypatch):
     calls[0] = 0  # center(M) gathered M's commutator maps
     assert T.preimage(S, [0]) == T.preimage(other, [0])
     assert calls[0] == 1
-    T.preimage(S ^ (1 << max(bits_iter(image))), [0])
+    T.preimage(S ^ (1 << max(bits_iter(image, Q.elements()))), [0])
     assert calls[0] == 2
     for G in (Q, one):
         n, T = G.order, _tables(G)

@@ -516,3 +516,34 @@ def test_unitriangular_right_tables_are_built_once():
     G.pth_map()
     analyze_group(G)
     assert handed == G.generators
+
+
+def test_a_group_holds_one_int_object_per_element():
+    # tables, power maps, commutator maps and lattice members take their
+    # element ints from the group's one list, elements(), so together they
+    # hold at most |G| int objects, the group's own (ints above 256 are not
+    # interned, so each new arithmetic result would be another object)
+    K = cat.catalog_build("kirillov_quotient", p=3, e=2)
+    H = cat.catalog_build("heisenberg", p=3)
+    U = cat.catalog_build("unitriangular", n=3, p=3, m=2)
+    lattice = sg.enumerate_normal_subgroups(K)
+    cases = [
+        cat.catalog_build("abelian", p=3, exps=(2, 2)),
+        K,
+        U,
+        sg.quotient(K, sg.center(K))[0],
+        sg.quotient(K, next(N for N in lattice if N.order == 3))[0],
+        sg.subgroup_as_group(K, sg.frattini(K)),
+        sg.subgroup_as_group(K, next(N for N in lattice if N.order == 729)),
+        FiniteGroup(H.p, H.order, H.mul, H.generators, label="bare " + H.label),
+        FiniteGroup(U.p, U.order, U.mul, U.generators, label="bare " + U.label),
+    ]
+    for G in cases:
+        analyze_group(G)
+        T = sg._tables(G)
+        held = T.right + [G.pth_map()] + T.comm_maps
+        held += [list(N.elements()) for N in sg.enumerate_normal_subgroups(G)]
+        objects = {id(x): x for xs in held for x in xs}
+        assert len(objects) <= G.order, (G.label, len(objects))
+        ints = G.elements()
+        assert all(x is ints[x] for x in objects.values()), G.label
