@@ -694,6 +694,10 @@ class _AbelianBackend:
         """x -> x^p, the endomorphism with g_i -> g_i^p."""
         return self.extend([self.p * s % (r * s) for r, s in zip(self.radices, self.strides)])
 
+    def comm_map(self, g: int) -> List[int]:
+        """x -> [x, g]: the group is abelian, so every commutator is the identity."""
+        return [self.ints[0]] * self.order
+
 
 def build_abelian(p: int, exps: Sequence[int], label: Optional[str] = None) -> FiniteGroup:
     """Direct product of cyclic groups of orders p^e for e in exps.
@@ -837,8 +841,19 @@ class _SemidirectBackend:
 
     ``alpha`` is the conjugation action m |-> m^alpha, stored as full element
     maps for every power of the generator.  M comes from ``build_abelian``,
-    so its backend gives the tables of M that the right tables and the p-th
-    power map are assembled from, block a of |M| entries at a time.
+    so its backend gives the tables of M that the right tables, the p-th
+    power map and the commutator maps are assembled from, block a of |M|
+    entries at a time.
+
+    The commutator maps have a closed form.  Write M additively, so the
+    product reads (a1, m1)(a2, m2) = (a1 + a2, alpha^a2(m1) + m2).  Then
+    (c, n)(0, n' - n) = (c, n'), so (c, n)^-1 (c, n') = (0, n' - n).  For
+    x = (a, m) and g = (b, h), x g = (a + b, alpha^b(m) + h) and g x =
+    (a + b, alpha^a(h) + m), and [x, g] = (g x)^-1 (x g) is
+
+        [(a, m), (b, h)] = (0, (alpha^b - 1)(m) + h - alpha^a(h)).
+
+    alpha^b - 1 is an endomorphism of the abelian M (``comm_map``).
     """
 
     def __init__(self, M: FiniteGroup, pow_maps: List[List[int]], t: int):
@@ -887,6 +902,34 @@ class _SemidirectBackend:
             maps = [self.pow_maps[k * a % amod] for k in range(p)]
             images = [reduce(back.mul, [f[g] for f in maps]) for g in M.generators]
             blocks.append((p * a % amod * M.order, back.extend(images)))
+        return _stacked(self.ints, blocks)
+
+    def comm_map(self, g: int) -> List[int]:
+        """x -> [x, g] in closed form (class docstring), every value in block 0.
+
+        With g = (b, h), block a is m -> E(m) + c_a, E = alpha^b - 1 extended
+        from its images of M's generators and c_a = h - alpha^a(h): the
+        constant c_a when b = 0 (E = 0 is not built), E itself when c_a = 0
+        (as for every a when h = 0), and otherwise E gathered through M's
+        table of c_a.
+        """
+        b, h = self.decode(g)
+        M, back = self.M, self.M.backend
+
+        def minus(u: int, v: int) -> int:
+            return back.encode([du - dv for du, dv in zip(back.decode(u), back.decode(v))])
+
+        E = back.extend([minus(self.pow_maps[b][y], y) for y in M.generators]) if b else None
+        blocks = []
+        for alpha_a in self.pow_maps:
+            c = minus(h, alpha_a[h])
+            if E is None:
+                block = [c] * M.order
+            elif not c:
+                block = E
+            else:
+                block = list(map(back.add_table(c).__getitem__, E))
+            blocks.append((0, block))
         return _stacked(self.ints, blocks)
 
 

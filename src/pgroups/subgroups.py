@@ -388,7 +388,9 @@ class GroupTables:
     - ``pth``, the map x -> x^p: G's own list (``FiniteGroup.pth_map``),
       read when first used;
     - ``comm_maps[k]``, the map x -> [x, g_k] as a list, built when first
-      read, so a power walk alone builds none.  Along the tree,
+      read, so a power walk alone builds none.  A backend with
+      ``comm_map(g)`` hands each map over in bulk (abelian: all identity;
+      semidirect: in closed form).  Otherwise, along the tree,
       [y h, g] = [y, g]^h [h, g] = (g^-1)^(y h) g, so (g^-1)^x is walked
       down the tree through the conjugation tables z -> h^-1 z h, and those
       come from the walk x -> h^-1 x and ``right``.  No product is taken
@@ -396,10 +398,13 @@ class GroupTables:
       dropped once the maps are built;
     - the preimage memo (``preimage``).  Map 0 is x -> x^p and map k + 1 is
       x -> [x, g_k].  Map f sends every x into its image I_f, so f^-1(S) =
-      f^-1(S n I_f): each map is gathered once per distinct S n I_f, and
+      f^-1(S n I_f): each map is read once per distinct S n I_f, and
       the enumerator's candidates (every map) and ``center_over`` (the
-      commutator maps) share those gathers.  A map's gather, image bits and
-      memo are built on its first use.
+      commutator maps) share those reads.  A map with at most 255 image
+      points is read as one ``bytes.translate`` of its n-byte label string
+      through a 256-byte table of the key's membership digits; a larger
+      image keeps an n-entry gather.  A map's reader, image bits and memo
+      are built on its first use.
 
     Raises InvariantViolation when the generators do not reach every element.
     That reach check is the one certificate that ``G.generators`` generate G,
@@ -440,30 +445,39 @@ class GroupTables:
         self._tree: Optional[List[int]] = tree  # kept until comm_maps walks it
         self._comm: Optional[List[List[int]]] = None
         self._group = G
-        # per map f: (its gather, or None for a map onto {1}, the bits of I_f,
-        # {S n I_f: f^-1(S)}), built on first use
+        # per map f: (its gather, its label string or None, the bits of I_f,
+        # {S n I_f: f^-1(S)}), built on first use; a map onto {1} has neither
         self._maps: List[Optional[tuple]] = [None] * (len(gens) + 1)
 
     @property
     def comm_maps(self) -> List[List[int]]:
-        """The maps x -> [x, g_k], one per kept generator, walked down the tree on first use."""
+        """The maps x -> [x, g_k], one per kept generator, built on first use.
+
+        The backend's ``comm_map`` hands each over when it has one; otherwise
+        they are walked down the tree (``_walked_comm_maps``).
+        """
         if self._comm is None:
-            tree, parent, gen, right = self._tree, self.parent, self.gen, self.right
-
-            def walk(start: int, tabs: Sequence[List[int]]) -> List[int]:
-                # out[x] = tabs[k_m](... tabs[k_1](start)) along the word k_1 ... k_m of x
-                out = [start] * len(parent)
-                for x in tree:
-                    out[x] = tabs[gen[x]][out[parent[x]]]
-                return out
-
-            # y g = 1 exactly for y = g^-1
-            inverses = [r.index(0) for r in right]
-            # z -> h^-1 z h
-            conj = [[r[z] for z in walk(hinv, right)] for r, hinv in zip(right, inverses)]
-            self._comm = [[r[z] for z in walk(ginv, conj)] for r, ginv in zip(right, inverses)]
+            bulk = getattr(self._group.backend, "comm_map", None)
+            self._comm = list(map(bulk, self.gens)) if bulk else self._walked_comm_maps()
             self._tree = None
         return self._comm
+
+    def _walked_comm_maps(self) -> List[List[int]]:
+        """The maps x -> [x, g_k], walked down the word tree through conjugation tables."""
+        tree, parent, gen, right = self._tree, self.parent, self.gen, self.right
+
+        def walk(start: int, tabs: Sequence[List[int]]) -> List[int]:
+            # out[x] = tabs[k_m](... tabs[k_1](start)) along the word k_1 ... k_m of x
+            out = [start] * len(parent)
+            for x in tree:
+                out[x] = tabs[gen[x]][out[parent[x]]]
+            return out
+
+        # y g = 1 exactly for y = g^-1
+        inverses = [r.index(0) for r in right]
+        # z -> h^-1 z h
+        conj = [[r[z] for z in walk(hinv, right)] for r, hinv in zip(right, inverses)]
+        return [[r[z] for z in walk(ginv, conj)] for r, ginv in zip(right, inverses)]
 
     def word(self, x: int) -> List[int]:
         """Indices k_1, ..., k_m into ``gens`` with x = g_(k_1) ... g_(k_m)."""
@@ -492,11 +506,15 @@ class GroupTables:
     def preimage(self, bits: int, maps: Iterable[int]) -> int:
         """Bitset of the x that each of maps (0: x -> x^p, k + 1: x -> [x, g_k]) sends into bits.
 
-        Each map's preimage is gathered once per distinct bits n I_f and
-        memoised.  A map whose image is {1} (the commutator map of a central
-        generator, the power map of an exponent-p group) sends G into every
-        set that holds 1 and into no other: it is never gathered, and it
-        leaves the AND as it is or empties it.
+        Each map's preimage is read once per distinct bits n I_f and
+        memoised (``_gathered_preimage``).  A map whose image is {1} (the
+        commutator map of a central generator, the power map of an
+        exponent-p group) sends G into every set that holds 1 and into no
+        other: it is never read, and it leaves the AND as it is or empties
+        it.  A map with at most 255 image points is held as its label
+        string, last x first: byte k + 1 at x when f(x) is the k-th image
+        point, in increasing order.  Any other map is held as a gather of
+        its values, last x first.
         """
         n = self._group.order
         out = (1 << n) - 1
@@ -504,10 +522,20 @@ class GroupTables:
             entry = self._maps[f]
             if entry is None:
                 values = self.comm_maps[f - 1] if f else self.pth
-                image = _bits_of(n, set(values))
-                gather = None if image == 1 else itemgetter(*values)
-                entry = self._maps[f] = (gather, image, {})
-            gather, image, memo = entry
+                points = sorted(set(values))
+                image = _bits_of(n, points)
+                if image == 1:
+                    entry = (None, None, image, {})
+                elif len(points) <= 255:
+                    label = [0] * n
+                    for k, y in enumerate(points, 1):
+                        label[y] = k
+                    labels = bytes(map(label.__getitem__, reversed(values)))
+                    entry = (itemgetter(*points), labels, image, {})
+                else:
+                    entry = (itemgetter(*reversed(values)), None, image, {})
+                self._maps[f] = entry
+            gather, labels, image, memo = entry
             if image == 1:
                 if not bits & 1:
                     return 0
@@ -515,7 +543,7 @@ class GroupTables:
             key = bits & image
             hit = memo.get(key)
             if hit is None:
-                hit = memo[key] = _gathered_preimage(gather, _membership(n, key))
+                hit = memo[key] = _gathered_preimage(gather, labels, _membership(n, key))
             out &= hit
         return out
 
@@ -557,9 +585,19 @@ def _tables(G: FiniteGroup) -> GroupTables:
     return hit
 
 
-def _gathered_preimage(gather: itemgetter, member: str) -> int:
-    """Bitset of the x that the map read by gather sends into the set with digits member."""
-    return int("".join(gather(member))[::-1], 2)
+def _gathered_preimage(gather: itemgetter, labels: Optional[bytes], member: str) -> int:
+    """Bitset of the x that a map sends into the set with digits member.
+
+    Without labels, gather reads the digit of f(x) for each x, last x first.
+    With labels, the map's label string (``GroupTables.preimage``), gather
+    reads the digits of the image points, and one ``bytes.translate``
+    through the 256-byte table that sends label k + 1 to the k-th of them
+    spells the preimage.
+    """
+    digits = "".join(gather(member))
+    if labels is None:
+        return int(digits, 2)
+    return int(labels.translate(("0" + digits).encode().ljust(256, b"0")), 2)
 
 
 def center_over(G: FiniteGroup, N: Subgroup) -> Subgroup:
@@ -827,25 +865,25 @@ def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
 
 def _coset_bits(
     G: FiniteGroup, T: GroupTables, elems: List[int], x: int
-) -> Tuple[int, List[int]]:
-    """Bits of Nx u Nx^2 u ... u Nx^(p-1), N having the elements elems, and N<x>'s elements.
+) -> Tuple[int, List[Sequence[int]]]:
+    """Bits of Nx u Nx^2 u ... u Nx^(p-1), N having the elements elems, and those p - 1 cosets.
 
     Each coset is a gather of the previous one along x's word, looked up
-    once.  N<x>'s elements are elems followed by those p - 1 cosets.  An
+    once.  N<x>'s elements are elems followed by the cosets.  An
     ``itemgetter`` of one index returns a scalar, so a one-element coset
     (N = 1) steps by plain lookups.
     """
     flags = bytearray(b"0") * G.order
     word = T.word_tables(x)
     coset = elems
-    grown = list(elems)
+    cosets = []
     for _ in range(G.p - 1):
         for r in word:
             coset = itemgetter(*coset)(r) if len(coset) > 1 else [r[coset[0]]]
-        grown += coset
+        cosets.append(coset)
         for y in coset:
             flags[y] = 49  # ord("1")
-    return int(flags[::-1], 2), grown
+    return int(flags[::-1], 2), cosets
 
 
 def enumerate_normal_subgroups(
@@ -890,7 +928,9 @@ def enumerate_normal_subgroups(
     share each gather: on ``kirillov_quotient p=3 e=2`` the images have 81,
     27, 9 and 1 elements, and its 345 normal subgroups take 32 + 7 + 3 + 1
     gathers.  Each frame carries N's element list, which its children
-    extend by their cosets.
+    extend by their cosets.  A child's frame keeps its parent's list and
+    its p - 1 cosets, and joins them only when the child is first extended:
+    most children are leaves, and they never need the list.
 
     M's witnesses are its parent's plus the least element of M outside the
     parent.
@@ -910,19 +950,25 @@ def enumerate_normal_subgroups(
     seen: Dict[int, Subgroup] = {triv.bits: triv}
     # the chief series, grown by the walk's first descent
     chain = [1]
-    # frames [N, level(N), candidates still to take, elements of N]
-    stack = [[triv, 0, T.preimage(triv.bits, maps) & ~chain[0], [0]]]
+    # frames [N, level(N), candidates still to take, elements of N's parent
+    # or of N, N's cosets of that parent or () once joined to the elements]
+    stack = [[triv, 0, T.preimage(triv.bits, maps) & ~chain[0], [0], ()]]
     while stack:
         frame = stack[-1]
-        N, level, free, elems = frame
+        N, level, free, elems, cosets = frame
         if not free:
             # until the descent reaches G, the top frame is the chain's last term
             if chain[-1] != full:
                 raise InvariantViolation(f"chief series of {G.label} stalled below G")
             stack.pop()
             continue
+        if cosets:
+            elems = list(elems)
+            for coset in cosets:
+                elems += coset
+            frame[3:] = elems, ()
         x = (free & -free).bit_length() - 1
-        new, grown = _coset_bits(G, T, elems, x)
+        new, child_cosets = _coset_bits(G, T, elems, x)
         mbits = N.bits | new
         frame[2] = free & ~mbits
         if mbits in seen:
@@ -939,9 +985,8 @@ def enumerate_normal_subgroups(
         child_level = level + 1
         while not (chain[child_level] >> x) & 1:
             child_level += 1
-        stack.append(
-            [M, child_level, T.preimage(mbits, maps) & (full ^ chain[child_level]), grown]
-        )
+        free = T.preimage(mbits, maps) & (full ^ chain[child_level])
+        stack.append([M, child_level, free, elems, child_cosets])
     result = sorted(seen.values(), key=lambda s: (s.order, s.bits))
     G.cache["normals"] = result
     # lattice_interval bisects these to the orders it scans

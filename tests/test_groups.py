@@ -536,6 +536,32 @@ def test_abelian_add_table_agrees_with_mul():
     assert G.backend.add_table(h) == [G.mul(x, h) for x in range(G.order)]
 
 
+def test_commutator_maps_in_closed_form_agree_with_comm(groups):
+    # the abelian backend's map is all identity, and the semidirect one's is
+    # [(a, m), (b, h)] = (0, (alpha^b - 1)(m) + h - alpha^a(h)); each is checked
+    # against G.comm for every listed generator and three other elements,
+    # the last element among them (a = p^t - 1 and m != 0, so on kirillov,
+    # t = 2, blocks with a != 0 and b >= 2), and each entry is G's own int
+    checked = []
+    for name, params in cat.DEFAULT_SUITE:
+        G = groups(name, **params)
+        if not hasattr(G.backend, "comm_map"):
+            continue
+        rng = random.Random(33)
+        ints = G.elements()
+        others = [x for x in ints[1:-1] if x not in G.generators]
+        extra = rng.sample(others, 2) + [G.order - 1]
+        assert G.order - 1 not in G.generators, G.label
+        for g in G.generators + extra:
+            got = G.backend.comm_map(g)
+            assert got == [G.comm(x, g) for x in ints], (G.label, g)
+            assert all(v is ints[v] for v in got), (G.label, g)
+        checked.append((name, type(G.backend).__name__))
+    assert len(checked) == 13
+    assert {kind for _, kind in checked} == {"_AbelianBackend", "_SemidirectBackend"}
+    assert ("kirillov_quotient", "_SemidirectBackend") in checked
+
+
 # -- group laws on every built kind ----------------------------------------------
 
 

@@ -581,10 +581,17 @@ def test_tables_preimage_matches_its_definition(monkeypatch):
     assert calls[0] == 1
     T.preimage(S ^ (1 << max(bits_iter(image, Q.elements()))), [0])
     assert calls[0] == 2
-    for G in (Q, one):
+    # a map with at most 255 image points is read through its label string,
+    # a larger one through its gather: both sides of that switch are checked
+    cyclic6 = cat.catalog_build("abelian", p=3, exps=(6,))  # power map image 243
+    cyclic7 = cat.catalog_build("abelian", p=3, exps=(7,))  # power map image 729
+    M6 = cat.catalog_build("mainline_coclass1", p=3, k=6)  # commutator image 243
+    sizes = {}
+    for G in (Q, one, cyclic6, cyclic7, M6):
         n, T = G.order, _tables(G)
         maps = [[G.pow(x, G.p) for x in range(n)]]
         maps += [[G.comm(x, g) for x in range(n)] for g in T.gens]
+        sizes[G.label] = [len(set(f)) for f in maps]
         assert T.preimage(rng.getrandbits(n), []) == (1 << n) - 1, G.label
         for S in [0, 1, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]:
             want = [sum(1 << x for x in range(n) if (S >> f[x]) & 1) for f in maps]
@@ -593,6 +600,7 @@ def test_tables_preimage_matches_its_definition(monkeypatch):
             for w in want:
                 every &= w
             assert T.preimage(S, range(len(maps))) == every, G.label
+    assert [sizes[G.label] for G in (cyclic6, cyclic7, M6)] == [[243, 1], [729, 1], [81, 243, 3]]
 
 
 def _table_cases(groups):

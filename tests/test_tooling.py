@@ -475,6 +475,30 @@ def test_commutator_maps_are_built_on_first_use():
     assert T.comm_maps == [[G.comm(x, g) for x in G.elements()] for g in T.gens]
 
 
+def test_commutator_maps_are_handed_over_by_the_backend(monkeypatch):
+    # an abelian or semidirect backend gives each commutator map in closed
+    # form, one call per kept generator, and no map is walked down the tree
+    def no_walk(self):
+        raise AssertionError("commutator maps walked")
+
+    monkeypatch.setattr(sg.GroupTables, "_walked_comm_maps", no_walk)
+    cases = [("kirillov_quotient", {"p": 3, "e": 2}), ("abelian", {"p": 3, "exps": (2, 2)})]
+    for name, params in cases:
+        G = cat.catalog_build(name, **params)
+        comm_map = G.backend.comm_map
+        handed = []
+
+        def counting(g, comm_map=comm_map, handed=handed):
+            handed.append(g)
+            return comm_map(g)
+
+        monkeypatch.setattr(G.backend, "comm_map", counting)
+        T = sg._tables(G)
+        assert T.comm_maps == [[G.comm(x, g) for x in G.elements()] for g in T.gens], name
+        assert handed == T.gens, name
+        assert T._tree is None, name
+
+
 def test_power_walks_take_no_product():
     # a root group with right tables steps each power walk through the
     # tables of x's word, so the p-th power map takes no backend product,

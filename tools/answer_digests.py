@@ -3,8 +3,9 @@
 
 The artifacts are the canonical outputs that a change meant to keep the
 answers must leave byte-identical:
-  - ``analyze --json`` of each ``DEFAULT_SUITE`` group and of three larger
-    groups (3^11, 3^10 and 3^6 with 56,632 normal subgroups);
+  - ``analyze --json`` of each ``DEFAULT_SUITE`` group and of four larger
+    groups (3^11, 3^10, 3^6 with 56,632 normal subgroups, and 5^7, a
+    semidirect product with a commutator map of 3,125 image points);
   - ``analyze --json`` of two pc files, written to a temporary directory
     from fixed presentations below: class 2 and exponent 9 of order 3^8,
     and class 2 and exponent 25 of order 5^5;
@@ -52,6 +53,7 @@ LARGE = [
     ("mainline_coclass1", {"p": 3, "k": 10}),
     ("unitriangular", {"n": 5, "p": 3, "m": 1}),
     ("abelian", {"p": 3, "exps": (1,) * 6}),
+    ("mainline_coclass1", {"p": 5, "k": 6}),
 ]
 
 SERIES_TYPES = ("eta", "upper-central", "lower-central")
