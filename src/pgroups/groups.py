@@ -556,10 +556,11 @@ def _check_pc_consistency(G: FiniteGroup, back: _PcBackend) -> None:
     Overlaps are taken from g_n down, so the first failure lies in the
     largest inconsistent tail <g_i, ..., g_n>.
     """
-    mul, pw, p = G.mul, G.pow, G.p
+    mul, p = G.mul, G.p
     gens = [0] + G.generators  # gens[i] is g_i
-    # g_i^p and g_i^(p-1), each taken once at level i; the levels run from
-    # g_n down, so every g_j (j > i) has its powers by the time g_i needs them
+    # g_i^(p-1) is the word (p - 1) s_i, which the table of g_i sends to g_i^p,
+    # the power word (L[0] of ``_fill_tables``); the levels run from g_n down,
+    # so every g_j (j > i) has its powers by the time g_i needs them
     pow_p = [0] * (back.n + 1)
     pow_pm1 = [0] * (back.n + 1)
 
@@ -572,8 +573,8 @@ def _check_pc_consistency(G: FiniteGroup, back: _PcBackend) -> None:
 
     for i in range(back.n, 0, -1):
         gi, si = gens[i], f"g_{i}"
-        gi_p = pow_p[i] = pw(gi, p)
-        gi_pm1 = pow_pm1[i] = pw(gi, p - 1)
+        gi_pm1 = pow_pm1[i] = (p - 1) * gi
+        gi_p = pow_p[i] = back._tab[i][gi_pm1]
         agree(f"{si}^{p + 1}", f"({si}^{p}) {si}", mul(gi_p, gi), f"{si} ({si}^{p})", mul(gi, gi_p))
         for j in range(i + 1, back.n + 1):
             gj, sj = gens[j], f"g_{j}"

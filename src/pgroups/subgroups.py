@@ -902,7 +902,7 @@ def enumerate_normal_subgroups(
     (Avis and Fukuda 1996; induced pc sequences, Holt, Eick and O'Brien
     2005, ch. 8) picks one such N per M.  The series is the walk's first
     descent: C_(i+1) = C_i<x> for the least candidate x of C_i, which the
-    frame of C_i takes first, and the frame of C_(i+1) runs next.  So each
+    visit of C_i takes first, and the visit of C_(i+1) runs next.  So each
     term is appended as it is built, before any level beyond it is read,
     and every normal subgroup is built once, the terms of the series
     included.  Every p-group has such a series, so a descent that runs out
@@ -927,10 +927,11 @@ def enumerate_normal_subgroups(
     with ``center_over``.  The images are small, so many normal subgroups
     share each gather: on ``kirillov_quotient p=3 e=2`` the images have 81,
     27, 9 and 1 elements, and its 345 normal subgroups take 32 + 7 + 3 + 1
-    gathers.  Each frame carries N's element list, which its children
-    extend by their cosets.  A child's frame keeps its parent's list and
-    its p - 1 cosets, and joins them only when the child is first extended:
-    most children are leaves, and they never need the list.
+    gathers.  A visit joins its parent's element list and its own p - 1
+    cosets into N's list only when N has a candidate: most children are
+    leaves, and they never need the list.  The walk recurses once per
+    level, from 0 up to the chief length log_p |G|, so it is at most
+    log_3(ELEMENT_CAP) + 1 = 12 visits deep, however wide the lattice.
 
     M's witnesses are its parent's plus the least element of M outside the
     parent.
@@ -950,43 +951,39 @@ def enumerate_normal_subgroups(
     seen: Dict[int, Subgroup] = {triv.bits: triv}
     # the chief series, grown by the walk's first descent
     chain = [1]
-    # frames [N, level(N), candidates still to take, elements of N's parent
-    # or of N, N's cosets of that parent or () once joined to the elements]
-    stack = [[triv, 0, T.preimage(triv.bits, maps) & ~chain[0], [0], ()]]
-    while stack:
-        frame = stack[-1]
-        N, level, free, elems, cosets = frame
-        if not free:
-            # until the descent reaches G, the top frame is the chain's last term
-            if chain[-1] != full:
-                raise InvariantViolation(f"chief series of {G.label} stalled below G")
-            stack.pop()
-            continue
-        if cosets:
+
+    def visit(N: Subgroup, level: int, elems: List[int], cosets: List[Sequence[int]]) -> None:
+        # N's elements are elems followed by cosets
+        free = T.preimage(N.bits, maps) & (full ^ chain[level])
+        if free and cosets:
             elems = list(elems)
             for coset in cosets:
                 elems += coset
-            frame[3:] = elems, ()
-        x = (free & -free).bit_length() - 1
-        new, child_cosets = _coset_bits(G, T, elems, x)
-        mbits = N.bits | new
-        frame[2] = free & ~mbits
-        if mbits in seen:
-            raise InvariantViolation(
-                f"normal subgroup of order {mbits.bit_count()} in {G.label} reached twice"
-            )
-        if len(seen) >= budget:
-            raise BudgetExceeded(f"more than {budget} normal subgroups in {G.label}")
-        M = Subgroup(G, mbits, N.witness_list() + [x], normal=True)
-        seen[mbits] = M
-        if level + 1 == len(chain):  # N is the chain's last term, and M its next
-            chain.append(mbits)
-        # x lies in C_level(M) and outside C_(level(M)-1)
-        child_level = level + 1
-        while not (chain[child_level] >> x) & 1:
-            child_level += 1
-        free = T.preimage(mbits, maps) & (full ^ chain[child_level])
-        stack.append([M, child_level, free, elems, child_cosets])
+        while free:
+            x = (free & -free).bit_length() - 1
+            new, child_cosets = _coset_bits(G, T, elems, x)
+            mbits = N.bits | new
+            free &= ~mbits
+            if mbits in seen:
+                raise InvariantViolation(
+                    f"normal subgroup of order {mbits.bit_count()} in {G.label} reached twice"
+                )
+            if len(seen) >= budget:
+                raise BudgetExceeded(f"more than {budget} normal subgroups in {G.label}")
+            M = Subgroup(G, mbits, N.witness_list() + [x], normal=True)
+            seen[mbits] = M
+            if level + 1 == len(chain):  # N is the chain's last term, and M its next
+                chain.append(mbits)
+            # x lies in C_level(M) and outside C_(level(M)-1)
+            child_level = level + 1
+            while not (chain[child_level] >> x) & 1:
+                child_level += 1
+            visit(M, child_level, elems, child_cosets)
+        # until the descent reaches G, N is the chain's last term
+        if chain[-1] != full:
+            raise InvariantViolation(f"chief series of {G.label} stalled below G")
+
+    visit(triv, 0, [0], [])
     result = sorted(seen.values(), key=lambda s: (s.order, s.bits))
     G.cache["normals"] = result
     # lattice_interval bisects these to the orders it scans

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pgroups import build_abelian
 from pgroups import catalog as cat
+from pgroups import subgroups as sg
 from pgroups.errors import BudgetExceeded, InvariantViolation, NotNormal
 from pgroups.eta_series import upper_eta_series
 from pgroups.groups import FiniteGroup, _from_flags, bits_iter
@@ -761,6 +763,59 @@ def test_enumerate_respects_budget(groups):
     with pytest.raises(BudgetExceeded):
         enumerate_normal_subgroups(fresh, budget=3)
     assert len(enumerate_normal_subgroups(G)) == 7  # cached, unaffected
+
+
+def test_budget_failure_mid_walk_leaves_no_lattice():
+    # the walk stops at its sixth subgroup with the preimage memo partly
+    # filled; a second walk over that memo finds what a fresh group finds
+    G = cat.catalog_build("abelian", p=3, exps=(1, 1, 1))
+    with pytest.raises(BudgetExceeded):
+        enumerate_normal_subgroups(G, budget=5)
+    assert "normals" not in G.cache
+    fresh = cat.catalog_build("abelian", p=3, exps=(1, 1, 1))
+    assert [(N.bits, N.witness_list()) for N in enumerate_normal_subgroups(G)] == [
+        (N.bits, N.witness_list()) for N in enumerate_normal_subgroups(fresh)
+    ]
+
+
+def test_a_child_reached_twice_is_an_invariant_violation(monkeypatch):
+    # the second child of 1 is made to come out as the first one
+    G = cat.catalog_build("abelian", p=3, exps=(1, 1))
+    coset_bits = sg._coset_bits
+    first = []
+
+    def colliding(G, T, elems, x):
+        out = coset_bits(G, T, elems, x)
+        if elems == [0]:  # a child of 1: each comes out as the first
+            first.append(out)
+            return first[0]
+        return out
+
+    monkeypatch.setattr(sg, "_coset_bits", colliding)
+    with pytest.raises(InvariantViolation, match="reached twice"):
+        enumerate_normal_subgroups(G)
+    assert len(first) == 2
+    assert "normals" not in G.cache
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_enumeration_recurses_once_per_chief_factor():
+    # 2,664 normal subgroups over a chief series of length 5: a walk one
+    # frame deep per level fits in 40 frames, one per subgroup would not
+    G = cat.catalog_build("abelian", p=3, exps=(1,) * 5)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 40)
+    try:
+        normals = enumerate_normal_subgroups(G)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(normals) == 2_664
 
 
 def test_every_enumerated_subgroup_is_normal(groups):

@@ -389,9 +389,10 @@ def test_pc_build_builds_no_lattice_tables():
     assert "tables" not in G.cache
 
 
-def test_pc_overlap_test_takes_each_power_once(monkeypatch):
-    # each generator's p-th and (p-1)-th powers are taken once, at its own
-    # level of the overlap test, not again for every pair that reads them
+def test_pc_overlap_test_takes_no_power(monkeypatch):
+    # each generator's p-th and (p-1)-th powers are read off the
+    # presentation: g_i^(p-1) is the word (p - 1) s_i, and the table of g_i
+    # sends it to g_i^p, the power word; the overlap test takes no power
     calls = [0]
     power = FiniteGroup.pow
 
@@ -402,7 +403,7 @@ def test_pc_overlap_test_takes_each_power_once(monkeypatch):
     monkeypatch.setattr(FiniteGroup, "pow", counting)
     pres = class2_pres_3_8()
     build_from_pc(pres)
-    assert calls[0] <= 2 * pres.ngens
+    assert calls[0] == 0
 
 
 def test_pc_build_decodes_no_element(monkeypatch):

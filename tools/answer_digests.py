@@ -11,7 +11,10 @@ answers must leave byte-identical:
     and class 2 and exponent 25 of order 5^5;
   - ``verify all --json`` and ``verify all --extended --json``;
   - ``series --type T --json`` of each ``DEFAULT_SUITE`` group for the three
-    series types, whose witness lists are part of the output;
+    series types, and ``series --type eta --json`` of the four larger
+    groups.  The witness lists are part of the output, and eta terms are
+    normal subgroups, so they pin the enumerator's walk order on wide and
+    deep lattices too;
   - ``catalog list``, ``catalog list --json``, and the document that
     ``catalog get`` writes for each ``DEFAULT_SUITE`` instance;
   - the p-th power map (``FiniteGroup.pth_map``), which every answer
@@ -120,6 +123,8 @@ def artifacts():
     for kind in SERIES_TYPES:
         for name, params in cat.DEFAULT_SUITE:
             yield ["series", *catalog_args(name, params), "--type", kind, "--json"]
+    for name, params in LARGE:
+        yield ["series", *catalog_args(name, params), "--type", "eta", "--json"]
     yield ["catalog", "list"]
     yield ["catalog", "list", "--json"]
     for name, params in cat.DEFAULT_SUITE:
