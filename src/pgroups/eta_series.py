@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, NoValidS, NotNormal
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _memo
 from .subgroups import (
     Subgroup,
     SubgroupSeries,
@@ -66,12 +66,8 @@ def _pe_over(G: FiniteGroup, M: Subgroup, N: Subgroup) -> bool:
 
 def powerfully_embedded_over(G: FiniteGroup, N: Subgroup) -> List[Subgroup]:
     """Every normal M >= N with M/N powerfully embedded in G/N, smallest first."""
-    key = ("pwe_over", N.bits)
-    hit = G.cache.get(key)
-    if hit is None:
-        hit = [M for M in lattice_interval(G, N.bits) if _pe_over(G, M, N)]
-        G.cache[key] = hit
-    return hit
+    build = lambda: [M for M in lattice_interval(G, N.bits) if _pe_over(G, M, N)]
+    return _memo(G.cache, ("pwe_over", N.bits), build)
 
 
 def powerfully_embedded_normals(G: FiniteGroup) -> List[Subgroup]:
@@ -92,9 +88,8 @@ def _eta_over(G: FiniteGroup, K: Subgroup, N: Subgroup) -> Subgroup:
     member.  By monotony E >= f(K), Z(G/K)'s preimage cut to N, which is
     certified.  With N = G, E is the preimage of eta(G/K).
     """
-    key = ("eta_over", K.bits, N.bits)
-    hit = G.cache.get(key)
-    if hit is None:
+
+    def build() -> Subgroup:
         where = f"{G.label} over its normal subgroup of order {K.order}"
         # M is always the lattice member, not the caller's N: its witnesses are printed
         M, F = None, N.bits
@@ -105,8 +100,9 @@ def _eta_over(G: FiniteGroup, K: Subgroup, N: Subgroup) -> Subgroup:
             F = center_over(G, _power_product(G, M, K)).bits & F
         if (center_over(G, K).bits & N.bits) | M.bits != M.bits:
             raise InvariantViolation(f"the eta step of {where} does not contain the center")
-        G.cache[key] = hit = M
-    return hit
+        return M
+
+    return _memo(G.cache, ("eta_over", K.bits, N.bits), build)
 
 
 def _eta_chain(G: FiniteGroup, N: Subgroup) -> List[Subgroup]:
@@ -158,20 +154,25 @@ class EtaReport:
     powerful_class: int
     steps: List[EtaStep]
 
+    def term(self, i: int) -> Subgroup:
+        """eta_i, which is G for every i past the end of the series."""
+        terms = self.series.terms
+        return terms[i] if i < len(terms) else terms[-1]
+
 
 def upper_eta_series(G: FiniteGroup) -> EtaReport:
     """eta_0 = 1, eta_{i+1}/eta_i = eta(G/eta_i), up to eta_k = G (``_eta_chain``)."""
-    hit = G.cache.get("eta_report")
-    if hit is None:
+
+    def build() -> EtaReport:
         terms = _eta_chain(G, whole_subgroup(G))
         steps = [
             EtaStep(G.order // K.order, e.order // K.order)
             for K, e in zip(terms, terms[1:])
         ]
         series = SubgroupSeries("eta", "ascending", terms)
-        hit = EtaReport(series, len(terms) - 1, steps)
-        G.cache["eta_report"] = hit
-    return hit
+        return EtaReport(series, len(terms) - 1, steps)
+
+    return _memo(G.cache, "eta_report", build)
 
 
 def powerful_class(G: FiniteGroup) -> int:
@@ -240,10 +241,7 @@ def uniserial_report(G: FiniteGroup) -> UniserialReport:
 
     The report is cached per group; callers must not mutate it.
     """
-    hit = G.cache.get("uniserial")
-    if hit is None:
-        G.cache["uniserial"] = hit = _uniserial_report(G)
-    return hit
+    return _memo(G.cache, "uniserial", lambda: _uniserial_report(G))
 
 
 def _uniserial_report(G: FiniteGroup) -> UniserialReport:

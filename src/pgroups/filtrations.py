@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .errors import NotAnEtaSeries, NotNormal, TheoremViolated, ValidationFailed
 from .eta_series import is_eta_series, powerful_class
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _memo
 from .subgroups import (
     Subgroup,
     _flags,
@@ -91,10 +91,7 @@ def pf_embedding_witness(G: FiniteGroup, N: Subgroup) -> Optional[PotentFiltrati
     """
     if not N.is_normal():
         raise NotNormal("PF-embedding is defined for normal subgroups")
-    key = ("pf_witness", N.bits)
-    if key not in G.cache:
-        G.cache[key] = _pf_search(G, N)
-    return G.cache[key]
+    return _memo(G.cache, ("pf_witness", N.bits), lambda: _pf_search(G, N))
 
 
 def _pf_search(G: FiniteGroup, N: Subgroup) -> Optional[PotentFiltration]:

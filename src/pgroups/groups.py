@@ -34,8 +34,11 @@ reuses the first entries of its parent's, and a bare or pc group builds it
 on first use.  pc tables keep their own ints: filling them from the list
 measured slower (``_PcBackend._fill_tables``).
 
-Groups are immutable after construction; per-group caches are filled
-lazily and idempotently.
+Groups are immutable after construction.  Values derived from G are
+cached in ``G.cache`` by ``_memo``: a stored None is an answer, and a build
+that raises stores nothing.  ``subgroups`` writes out two memos: the
+tables (``_tables``), the most frequent hit, and the normal lattice
+(``enumerate_normal_subgroups``), which takes a budget and stores two keys.
 
 Only odd primes are supported; every constructor rejects p = 2.
 """
@@ -46,7 +49,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, compress
 from operator import add, truth
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .errors import (
     InconsistentPresentation,
@@ -101,6 +104,21 @@ def _check_cap(p: int, e: int, what: str) -> int:
     if e > ELEMENT_CAP.bit_length() or p**e > ELEMENT_CAP:
         raise SizeLimitExceeded(f"{what} would have order {p}^{e} > element cap {ELEMENT_CAP}")
     return p**e
+
+
+_MISS = object()
+_T = TypeVar("_T")
+
+
+def _memo(cache: Dict, key: object, build: Callable[[], _T]) -> _T:
+    """cache[key], made by build() and stored on a miss.
+
+    A stored None is a hit, and a build that raises stores nothing.
+    """
+    hit = cache.get(key, _MISS)
+    if hit is _MISS:
+        hit = cache[key] = build()
+    return hit
 
 
 class FiniteGroup:

@@ -47,15 +47,13 @@ def analyze_group(
     lcs = sg.lower_central_series(G)
     cls = len(lcs.terms) - 1
     report = eta_mod.upper_eta_series(G)
-    eta_terms = report.series.terms
     pwc = report.powerful_class
 
     # Internal consistency: the series bounds that hold in every group.
     if pwc > cls:
         raise InvariantViolation(f"pwc = {pwc} exceeds the class {cls} of {G.label}")
     for i, z in enumerate(ucs.terms):
-        e_i = eta_terms[i] if i < len(eta_terms) else eta_terms[-1]
-        if not z <= e_i:
+        if not z <= report.term(i):
             raise InvariantViolation(f"Z_{i}({G.label}) escapes eta_{i}")
 
     out: Dict[str, object] = {

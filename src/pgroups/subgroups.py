@@ -3,7 +3,8 @@
 A subgroup is identified by the bitset of its element indices (an int), so
 set algebra is big-integer arithmetic and deduplication is hashing.  All
 operations are pure functions of immutable inputs; results and expensive
-intermediates are memoized on the owning group's cache.  G's normal
+intermediates are memoized on the owning group's cache by ``groups._memo``,
+except the tables and the lattice (see ``groups``).  G's normal
 lattice is enumerated on first use, and every scan of it, here and in the
 analysis modules, is an interval [lo, hi] of it (``lattice_interval``).
 [N, G], joins of normal subgroups, Omega_i and Phi are lookups in it: the
@@ -26,7 +27,7 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, InvariantViolation, NotNormal
-from .groups import _TO_FLAGS, FiniteGroup, GroupHom, _from_flags, bits_iter, log_p
+from .groups import _TO_FLAGS, FiniteGroup, GroupHom, _from_flags, _memo, bits_iter, log_p
 
 NORMAL_SUBGROUP_BUDGET = 1_000_000
 
@@ -280,17 +281,16 @@ def normal_hull(G: FiniteGroup, bits: int) -> Subgroup:
 
 def commutator_with_group(G: FiniteGroup, N: Subgroup) -> Subgroup:
     """[N, G], memoized per subgroup; enumerates G's lattice on first use."""
-    key = ("ngcomm", N.bits)
-    hit = G.cache.get(key)
-    if hit is None:
+
+    def build() -> Subgroup:
         # witnesses generate N, so their [w, g_k] have the same hull
         gens = N._witnesses if N._witnesses is not None else list(N.elements())
         image = set()
         for f in _tables(G).comm_maps:
             image.update(map(f.__getitem__, gens))
-        hit = normal_hull(G, _bits_of(G.order, image))
-        G.cache[key] = hit
-    return hit
+        return normal_hull(G, _bits_of(G.order, image))
+
+    return _memo(G.cache, ("ngcomm", N.bits), build)
 
 
 def iterated_commutator(G: FiniteGroup, N: Subgroup, k: int) -> Subgroup:
@@ -325,15 +325,13 @@ def power_subgroup(G: FiniteGroup, N: Subgroup, i: int) -> Subgroup:
     """
     if i == 0:
         return N
-    key = ("npow", N.bits, i)
-    hit = G.cache.get(key)
-    if hit is None:
+
+    def build() -> Subgroup:
         if N.is_normal():
-            hit = _normal_power(G, N, i)
-        else:
-            hit = closure(G, sorted(power_image(G, N, i)))
-        G.cache[key] = hit
-    return hit
+            return _normal_power(G, N, i)
+        return closure(G, sorted(power_image(G, N, i)))
+
+    return _memo(G.cache, ("npow", N.bits, i), build)
 
 
 def _normal_power(G: FiniteGroup, N: Subgroup, i: int) -> Subgroup:
@@ -357,12 +355,8 @@ def omega_subgroup(G: FiniteGroup, i: int) -> Subgroup:
 
     A lookup in G's lattice, enumerated on first use.
     """
-    key = ("omega", i)
-    hit = G.cache.get(key)
-    if hit is None:
-        hit = normal_hull(G, _from_flags(bytearray(map(i.__ge__, G.order_exponents()))))
-        G.cache[key] = hit
-    return hit
+    build = lambda: normal_hull(G, _from_flags(bytearray(map(i.__ge__, G.order_exponents()))))
+    return _memo(G.cache, ("omega", i), build)
 
 
 class GroupTables:
@@ -572,7 +566,8 @@ def _tables(G: FiniteGroup) -> GroupTables:
     """G's tables, built on first use: the one place a ``GroupTables`` is built.
 
     The backend's ``right_table`` hands each table over; a bare group's come
-    from ``G.mul``, one product per entry.
+    from ``G.mul``, one product per entry.  The memo is written out: it is the
+    most frequent hit, and its one ``G.cache["tables"]`` store is pinned.
     """
     hit = G.cache.get("tables")
     if hit is None:
@@ -608,13 +603,12 @@ def center_over(G: FiniteGroup, N: Subgroup) -> Subgroup:
     """
     if not N.is_normal():
         raise NotNormal(f"subgroup of order {N.order} is not normal in {G.label}")
-    key = ("center_over", N.bits)
-    hit = G.cache.get(key)
-    if hit is None:
+
+    def build() -> Subgroup:
         T = _tables(G)
-        hit = Subgroup(G, T.preimage(N.bits, range(1, len(T.gens) + 1)), normal=True)
-        G.cache[key] = hit
-    return hit
+        return Subgroup(G, T.preimage(N.bits, range(1, len(T.gens) + 1)), normal=True)
+
+    return _memo(G.cache, ("center_over", N.bits), build)
 
 
 def center(G: FiniteGroup) -> Subgroup:
@@ -623,32 +617,32 @@ def center(G: FiniteGroup) -> Subgroup:
 
 def upper_central_series(G: FiniteGroup) -> "SubgroupSeries":
     """1 = Z_0 <= Z_1 <= ... <= Z_c = G, with Z_(i+1)/Z_i = Z(G/Z_i)."""
-    hit = G.cache.get("ucs")
-    if hit is None:
+
+    def build() -> SubgroupSeries:
         terms = [trivial_subgroup(G)]
         while not terms[-1].is_whole():
             nxt = center_over(G, terms[-1])
             if nxt.bits == terms[-1].bits:
                 raise InvariantViolation("upper central series stalled below G")
             terms.append(nxt)
-        hit = SubgroupSeries("upper-central", "ascending", terms)
-        G.cache["ucs"] = hit
-    return hit
+        return SubgroupSeries("upper-central", "ascending", terms)
+
+    return _memo(G.cache, "ucs", build)
 
 
 def lower_central_series(G: FiniteGroup) -> "SubgroupSeries":
     """G = gamma_1 >= gamma_2 >= ... >= 1."""
-    hit = G.cache.get("lcs")
-    if hit is None:
+
+    def build() -> SubgroupSeries:
         terms = [whole_subgroup(G)]
         while not terms[-1].is_trivial():
             nxt = normal_closure(G, _commutators(G, terms[-1].witness_list(), G.generators))
             if nxt.bits == terms[-1].bits:
                 raise InvariantViolation("lower central series stalled above 1")
             terms.append(nxt)
-        hit = SubgroupSeries("lower-central", "descending", terms)
-        G.cache["lcs"] = hit
-    return hit
+        return SubgroupSeries("lower-central", "descending", terms)
+
+    return _memo(G.cache, "lcs", build)
 
 
 def lower_central_term(G: FiniteGroup, i: int) -> Subgroup:
@@ -681,15 +675,15 @@ def join(G: FiniteGroup, subs: Sequence[Subgroup]) -> Subgroup:
 
 def frattini(G: FiniteGroup) -> Subgroup:
     """Phi(G) = G^p [G, G]."""
-    hit = G.cache.get("frattini")
-    if hit is None:
+
+    def build() -> Subgroup:
         whole = whole_subgroup(G)
-        hit = join(
+        return join(
             G,
             [power_subgroup(G, whole, 1), commutator_with_group(G, whole)],
         )
-        G.cache["frattini"] = hit
-    return hit
+
+    return _memo(G.cache, "frattini", build)
 
 
 def minimal_generator_count(G: FiniteGroup) -> int:
@@ -833,31 +827,28 @@ def quotient(G: FiniteGroup, N: Subgroup) -> Tuple[FiniteGroup, GroupHom]:
     """
     if not N.is_normal():
         raise NotNormal(f"subgroup of order {N.order} is not normal in {G.label}")
-    cache = G.cache.setdefault("quotients", {})
-    hit = cache.get(N.bits)
-    if hit is None and N.is_trivial():
-        # Quotient by 1 is G itself; reusing it keeps every cache warm.
-        hit = (G, GroupHom(G, G, G.elements()))
-        cache[N.bits] = hit
-    if hit is None:
+
+    def build() -> Tuple[FiniteGroup, GroupHom]:
+        if N.is_trivial():
+            # Quotient by 1 is G itself; reusing it keeps every cache warm.
+            return G, GroupHom(G, G, G.elements())
         back = _QuotientBackend(G, N.bits)
         Q = back.group(f"{G.label}/[{N.order}]")
-        hit = (Q, GroupHom(G, Q, back.coset_of))
-        cache[N.bits] = hit
-    return hit
+        return Q, GroupHom(G, Q, back.coset_of)
+
+    return _memo(G.cache.setdefault("quotients", {}), N.bits, build)
 
 
 def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
     """A standalone FiniteGroup isomorphic to the subgroup H of G (``_DerivedBackend``)."""
-    cache = G.cache.setdefault("subgroup_groups", {})
-    hit = cache.get(H.bits)
-    if hit is None:
+
+    def build() -> FiniteGroup:
         elems = list(H.elements())
         index_of = dict(zip(elems, G.elements()))
         back = _DerivedBackend(G, elems, index_of.__getitem__, H.witness_list())
-        hit = back.group(f"{G.label}|sub[{H.order}]")
-        cache[H.bits] = hit
-    return hit
+        return back.group(f"{G.label}|sub[{H.order}]")
+
+    return _memo(G.cache.setdefault("subgroup_groups", {}), H.bits, build)
 
 
 # -- normal subgroup enumeration ----------------------------------------------
@@ -941,6 +932,7 @@ def enumerate_normal_subgroups(
     Every other function reads the cached lattice, or enumerates it at the
     default budget on first use.
     """
+    # a written-out memo, not _memo: a miss takes the budget and stores two keys
     hit = G.cache.get("normals")
     if hit is not None:
         return hit

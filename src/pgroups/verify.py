@@ -63,11 +63,6 @@ class _Run:
         self.results.append(PropertyResult(suite, prop, group_key, passed, anchor, detail))
 
 
-def _eta_term(report: eta_mod.EtaReport, i: int) -> sg.Subgroup:
-    terms = report.series.terms
-    return terms[i] if i < len(terms) else terms[-1]
-
-
 def reachable_eta_levels(G: FiniteGroup, top: int) -> List[List[sg.Subgroup]]:
     """S_0, ..., S_top, where S_i holds the i-th terms of all eta-series of G.
 
@@ -104,8 +99,8 @@ def _suite_eta_lemmas(run: _Run, key: str, G: FiniteGroup) -> None:
 
     def chk_center() -> Tuple[bool, str]:
         for k in range(pwc):
-            ek1 = _eta_term(report, k + 1)
-            d = sg.join(G, [sg.power_subgroup(G, ek1, 1), _eta_term(report, k)])
+            ek1 = report.term(k + 1)
+            d = sg.join(G, [sg.power_subgroup(G, ek1, 1), report.term(k)])
             Q, proj = sg.quotient(G, d)
             want = proj.image_bits(ek1.bits)
             if sg.center(Q).bits != want:
@@ -122,7 +117,7 @@ def _suite_eta_lemmas(run: _Run, key: str, G: FiniteGroup) -> None:
         "eta-lemmas", "series-dominates-center", key,
         "Z_i(G) <= eta_i(G) for all i >= 0",
         lambda: (
-            all(z <= _eta_term(report, i) for i, z in enumerate(ucs.terms)),
+            all(z <= report.term(i) for i, z in enumerate(ucs.terms)),
             f"{len(ucs.terms)} terms",
         ),
     )
@@ -135,11 +130,11 @@ def _suite_eta_lemmas(run: _Run, key: str, G: FiniteGroup) -> None:
 
     def chk_quotient_shift() -> Tuple[bool, str]:
         for j in range(pwc + 1):
-            Q, proj = sg.quotient(G, _eta_term(report, j))
+            Q, proj = sg.quotient(G, report.term(j))
             qrep = eta_mod.upper_eta_series(Q)
             for i in range(qrep.powerful_class + 1):
-                want = proj.image_bits(_eta_term(report, i + j).bits)
-                if _eta_term(qrep, i).bits != want:
+                want = proj.image_bits(report.term(i + j).bits)
+                if qrep.term(i).bits != want:
                     return False, f"fails at i={i}, j={j}"
         return True, f"j=0..{pwc}"
 
@@ -151,7 +146,7 @@ def _suite_eta_lemmas(run: _Run, key: str, G: FiniteGroup) -> None:
 
     def chk_height() -> Tuple[bool, str]:
         for i in range(pwc + 1):
-            h = eta_mod.powerful_height(G, _eta_term(report, i))
+            h = eta_mod.powerful_height(G, report.term(i))
             if h > i:
                 return False, f"pwh(eta_{i}) = {h} > {i}"
         return True, f"i=0..{pwc}"
@@ -164,7 +159,7 @@ def _suite_eta_lemmas(run: _Run, key: str, G: FiniteGroup) -> None:
 
     def chk_term_class() -> Tuple[bool, str]:
         for i in range(1, pwc + 1):
-            term = _eta_term(report, i)
+            term = report.term(i)
             if term.is_whole():
                 inner = pwc
             else:
@@ -185,7 +180,7 @@ def _suite_eta_lemmas(run: _Run, key: str, G: FiniteGroup) -> None:
 
     def chk_iterated() -> Tuple[bool, str]:
         for i in range(pwc + 1):
-            term = _eta_term(report, i)
+            term = report.term(i)
             lhs = sg.iterated_commutator(G, term, i)
             if not lhs <= sg.power_subgroup(G, term, 1):
                 return False, f"fails at i={i}"
@@ -198,13 +193,13 @@ def _suite_eta_lemmas(run: _Run, key: str, G: FiniteGroup) -> None:
     )
 
     def chk_mod_eta_p() -> Tuple[bool, str]:
-        ep = sg.power_subgroup(G, _eta_term(report, 1), 1)
+        ep = sg.power_subgroup(G, report.term(1), 1)
         Q, proj = sg.quotient(G, ep)
         qrep = eta_mod.upper_eta_series(Q)
         top = max(pwc, qrep.powerful_class)
         for i in range(1, top + 1):
-            want = proj.image_bits(_eta_term(report, i).bits)
-            if _eta_term(qrep, i).bits != want:
+            want = proj.image_bits(report.term(i).bits)
+            if qrep.term(i).bits != want:
                 return False, f"fails at i={i}"
         return True, f"i=1..{top}"
 
@@ -215,7 +210,7 @@ def _suite_eta_lemmas(run: _Run, key: str, G: FiniteGroup) -> None:
     )
 
     def chk_pwc2() -> Tuple[bool, str]:
-        e1 = _eta_term(report, 1)
+        e1 = report.term(1)
         Q, _ = sg.quotient(G, e1)
         if not eta_mod.is_powerful(Q):
             return True, "vacuous (G/eta not powerful)"
@@ -232,7 +227,7 @@ def _suite_eta_lemmas(run: _Run, key: str, G: FiniteGroup) -> None:
         # needs k >= 2: a powerful group can have Phi(G) != 1 = eta_0
         if pwc < 2:
             return True, f"vacuous (pwc = {pwc})"
-        return sg.frattini(G) <= _eta_term(report, pwc - 1), f"k={pwc}"
+        return sg.frattini(G) <= report.term(pwc - 1), f"k={pwc}"
 
     run.check(
         "eta-lemmas", "frattini-below-top", key,
@@ -330,7 +325,7 @@ def _suite_small_pwc(run: _Run, key: str, G: FiniteGroup) -> None:
         if top < 1:
             return True, "vacuous (trivial group)"
         for i in range(1, top + 1):
-            N = _eta_term(report, i)
+            N = report.term(i)
             ng = sg.commutator_with_group(G, N)
             for k in (1, 2):
                 gpk = sg.power_subgroup(G, whole, k)
@@ -351,7 +346,7 @@ def _suite_small_pwc(run: _Run, key: str, G: FiniteGroup) -> None:
     def chk_triples() -> Tuple[bool, str]:
         top = min(pwc, p - 1)
         for i in range(top + 1):
-            N = _eta_term(report, i)
+            N = report.term(i)
             filt = pf.small_height_filtration(G, N, report.series.terms[: i + 1])
             if pf.pf_embedding_witness(G, N) is None:
                 return False, f"reachability finds no witness for eta_{i}"

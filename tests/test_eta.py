@@ -106,6 +106,14 @@ def test_upper_eta_series_shapes(groups):
     assert powerful_class(M) == 3  # equals p
 
 
+def test_eta_report_term_is_the_whole_group_past_the_end(groups):
+    G = groups("heisenberg", p=3)
+    rep = upper_eta_series(G)
+    terms = rep.series.terms
+    assert [rep.term(i) for i in range(len(terms))] == terms
+    assert rep.term(len(terms)).is_whole() and rep.term(len(terms) + 5).is_whole()
+
+
 def test_powerful_height_basics(groups):
     G = groups("heisenberg", p=3)
     assert powerful_height(G, trivial_subgroup(G)) == 0

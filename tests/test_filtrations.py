@@ -1,6 +1,6 @@
 import pytest
 
-from pgroups import build_abelian
+from pgroups import build_abelian, filtrations
 from pgroups import catalog as cat
 from pgroups.errors import NotAnEtaSeries, ValidationFailed
 from pgroups.eta_series import upper_eta_series
@@ -60,6 +60,23 @@ def test_mann_nonpf_is_not_pf(groups):
     G = groups("mann_nonpf", p=3)
     assert pf_embedding_witness(G, whole_subgroup(G)) is None
     assert not is_pf_group(G)
+
+
+def test_pf_witness_caches_a_none_answer(monkeypatch):
+    # mann_nonpf is not PF: the None answer is stored, and the search runs once
+    G = cat.catalog_build("mann_nonpf", p=3)
+    calls = [0]
+    search = filtrations._pf_search
+
+    def counting(G, N):
+        calls[0] += 1
+        return search(G, N)
+
+    monkeypatch.setattr(filtrations, "_pf_search", counting)
+    whole = whole_subgroup(G)
+    assert pf_embedding_witness(G, whole) is None
+    assert pf_embedding_witness(G, whole) is None
+    assert calls[0] == 1
 
 
 def test_mainline_3_7_is_not_pf(groups):

@@ -23,7 +23,7 @@ from pgroups import (
     validate_odd_prime,
 )
 from pgroups import catalog as cat
-from pgroups.groups import _PcBackend, _UnitriangularBackend
+from pgroups.groups import _PcBackend, _UnitriangularBackend, _memo
 from pgroups.subgroups import _tables, center, quotient, trivial_subgroup, whole_subgroup
 
 import oracles
@@ -762,3 +762,50 @@ def test_mann_nonpf_big_prime_builds():
     assert G.element_order(alpha) == 25
     x1 = back.encode(0, back.M.generators[0])
     assert G.pow(G.mul(alpha, x1), 5) == G.mul(G.pow(alpha, 5), back.encode(0, back.M.generators[-1]))
+
+
+def _counted(value):
+    """A build that returns value, with the list of its calls."""
+    calls = []
+
+    def build():
+        calls.append(1)
+        return value
+
+    return build, calls
+
+
+def test_memo_stores_none_as_an_answer():
+    cache = {}
+    build, calls = _counted(None)
+    assert _memo(cache, ("k", 1), build) is None
+    assert _memo(cache, ("k", 1), build) is None
+    assert len(calls) == 1 and cache == {("k", 1): None}
+
+
+def test_memo_stores_nothing_when_the_build_raises():
+    cache = {}
+
+    def failing():
+        raise ValueError("no answer")
+
+    with pytest.raises(ValueError):
+        _memo(cache, "k", failing)
+    assert "k" not in cache
+    build, calls = _counted(7)
+    assert _memo(cache, "k", build) == 7
+    assert _memo(cache, "k", build) == 7
+    assert len(calls) == 1
+
+
+def test_memo_fills_a_nested_cache():
+    # quotients and subgroup groups are memoised per subgroup in one dict
+    # under their kind, as cache.setdefault("quotients", {})[bits]
+    cache = {}
+    build, calls = _counted(None)
+    assert _memo(cache.setdefault("quotients", {}), 5, build) is None
+    assert _memo(cache.setdefault("quotients", {}), 5, build) is None
+    assert len(calls) == 1 and cache == {"quotients": {5: None}}
+    with pytest.raises(ZeroDivisionError):
+        _memo(cache.setdefault("quotients", {}), 6, lambda: 1 // 0)
+    assert cache == {"quotients": {5: None}}

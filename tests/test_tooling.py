@@ -1,6 +1,7 @@
 import ast
 from pathlib import Path
 
+import pgroups
 from pgroups import build_from_pc
 from pgroups import catalog as cat
 from pgroups import eta_series, verify
@@ -152,6 +153,48 @@ def test_power_maps_have_one_derivation():
     assert ("groups.py:FiniteGroup.pth_map", "_pth") in found
     assert [hit for hit in found if not hit[0].startswith("groups.py:")] == []
     assert built == cached == {"subgroups.py:_tables"}
+
+
+def test_group_caches_are_filled_through_one_memo():
+    # every derived value in G.cache is read and stored by groups._memo; the
+    # two written-out memos are the lattice tables (_tables) and the lattice
+    # with its order index (enumerate_normal_subgroups, and lattice_interval
+    # reads the index), and FiniteGroup.__init__ makes the empty cache
+    written_out = {
+        "groups.py:FiniteGroup.__init__",
+        "groups.py:_memo",
+        "subgroups.py:_tables",
+        "subgroups.py:enumerate_normal_subgroups",
+        "subgroups.py:lattice_interval",
+    }
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}
+        for name, fn in _functions(tree):
+            for node in ast.walk(fn):
+                owner[id(node)] = name
+        memo_caches = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_memo":
+                cache = node.args[0]
+                # a nested memo: G.cache.setdefault(kind, {})
+                if (
+                    isinstance(cache, ast.Call)
+                    and getattr(cache.func, "attr", None) == "setdefault"
+                    and len(cache.args) == 2
+                    and isinstance(cache.args[1], ast.Dict)
+                    and not cache.args[1].keys
+                ):
+                    cache = cache.func.value
+                memo_caches.add(id(cache))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "cache" and id(node) not in memo_caches:
+                where = f"{path.relative_to(SRC)}:{owner.get(id(node), '<module>')}"
+                if where not in written_out:
+                    found.append(f"{where}:{node.lineno}")
+    assert found == []
+    assert not hasattr(pgroups, "_memo")
 
 
 def _functions(node, prefix=""):
